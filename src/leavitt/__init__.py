@@ -30,7 +30,6 @@ from .structure import (
     check_ideal_transfer,
     check_partition,
     check_vertex_idempotent_laws,
-    check_vertex_idempotents,
     decompose,
     monomial_in_ideal,
     run_suite,
@@ -79,7 +78,6 @@ __all__ = [
     "check_ideal_transfer",
     "check_partition",
     "check_vertex_idempotent_laws",
-    "check_vertex_idempotents",
     "decompose",
     "monomial_in_ideal",
     "run_suite",

@@ -100,6 +100,18 @@ def monomial_product(m1: Monomial, m2: Monomial) -> Monomial | None:
     return Monomial(m1.left, right)
 
 
+def add_terms(terms: dict, pairs, zero) -> dict:
+    """Add (monomial, coefficient) pairs into ``terms`` in place, dropping
+    monomials whose coefficients sum to ``zero``; returns ``terms``."""
+    for m, c in pairs:
+        acc = terms.get(m, zero) + c
+        if acc:
+            terms[m] = acc
+        elif m in terms:
+            del terms[m]
+    return terms
+
+
 class LeavittAlgebra:
     """The Leavitt path algebra of a graph, tied to a specialization and field.
 
@@ -156,15 +168,9 @@ class LeavittAlgebra:
 
     def element(self, terms) -> "Element":
         """Build an element from monomial/coefficient pairs, normalized."""
-        raw: dict[Monomial, object] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for m, c in items:
-            c = self.field.coerce(c)
-            acc = raw.get(m, self.field.zero) + c
-            if acc:
-                raw[m] = acc
-            elif m in raw:
-                del raw[m]
+        coerce = self.field.coerce
+        raw = add_terms({}, ((m, coerce(c)) for m, c in items), self.field.zero)
         return Element(self, self._normal(raw))
 
     # -- rewriting ----------------------------------------------------------
@@ -184,17 +190,16 @@ class LeavittAlgebra:
         in which reducible monomials are picked; ``chooser`` exists so tests
         can randomize that order."""
         work = [(m, c) for m, c in raw.items() if c]
-        out: dict[Monomial, object] = {}
+        return add_terms({}, self._rewrite(work, chooser), self.field.zero)
+
+    def _rewrite(self, work: list, chooser):
+        """Drain ``work`` by the rewrite rule, yielding the basic terms."""
         while work:
             idx = len(work) - 1 if chooser is None else chooser(len(work))
             m, c = work.pop(idx)
             e = self._reducible_edge(m)
             if e is None:
-                acc = out.get(m, self.field.zero) + c
-                if acc:
-                    out[m] = acc
-                elif m in out:
-                    del out[m]
+                yield m, c
                 continue
             p1 = Path(m.left.start, m.left.edges[:-1], e.src)
             q1 = Path(m.right.start, m.right.edges[:-1], e.src)
@@ -205,7 +210,6 @@ class LeavittAlgebra:
                 work.append(
                     (Monomial(self.graph.extend(p1, f), self.graph.extend(q1, f)), -c)
                 )
-        return out
 
 
 class Element:
@@ -240,14 +244,7 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        terms = dict(self.terms)
-        zero = self.algebra.field.zero
-        for m, c in other.terms.items():
-            acc = terms.get(m, zero) + c
-            if acc:
-                terms[m] = acc
-            elif m in terms:
-                del terms[m]
+        terms = add_terms(dict(self.terms), other.terms.items(), self.algebra.field.zero)
         return Element(self.algebra, terms)
 
     def __neg__(self) -> "Element":
@@ -271,18 +268,13 @@ class Element:
         if not isinstance(other, Element):
             return self.scale(other)
         self._check(other)
-        zero = self.algebra.field.zero
-        raw: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_product(m1, m2)
-                if m is None:
-                    continue
-                acc = raw.get(m, zero) + c1 * c2
-                if acc:
-                    raw[m] = acc
-                elif m in raw:
-                    del raw[m]
+        products = (
+            (m, c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+            if (m := monomial_product(m1, m2)) is not None
+        )
+        raw = add_terms({}, products, self.algebra.field.zero)
         return Element(self.algebra, self.algebra._normal(raw))
 
     def star(self) -> "Element":

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success or all checks passing, 1 when a non-refused check
-fails, 2 on usage or input errors.  All output is deterministic: identical
-inputs give byte-identical output.
+fails, 2 on usage or input errors, a working-precision escalation that does
+not converge, or exhausted memory.  ``run`` lets ``MemoryError`` through so
+that a caller in the same process can tell it apart; ``main`` turns it into
+exit code 2.  All output is deterministic: identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +23,11 @@ from .filtration import format_order, min_order
 from .graph import Graph, format_vertex_set
 from .specialization import Specialization, construct_regular
 from .structure import (
+    FAIL,
+    PASS,
     SUITES,
+    Verdict,
+    _cycle_witness,
     check_central_idempotent,
     decompose,
     run_suite,
@@ -153,28 +160,11 @@ def _cmd_specialize(args) -> int:
 def _cmd_check_spec(args) -> int:
     alg = _load_algebra(args)
     report = alg.special.report()
-    checks = [
-        {
-            "name": "frame-finite",
-            "status": "pass" if report.frame_finite else "fail",
-            "requested_precision": None,
-            "achieved_precision": None,
-            "witness": None if report.frame_finite else
-            f"special cycle {report.witness_cycle} at {report.witness_cycle.start}",
-            "note": None,
-        }
-    ]
+    witness = None if report.frame_finite else _cycle_witness(report)
+    checks = [Verdict("frame-finite", PASS if report.frame_finite else FAIL, witness=witness)]
     for W, ok in report.connectivity:
-        checks.append(
-            {
-                "name": f"special-connectivity[{format_vertex_set(W)}]",
-                "status": "pass" if ok else "fail",
-                "requested_precision": None,
-                "achieved_precision": None,
-                "witness": None,
-                "note": None,
-            }
-        )
+        name = f"special-connectivity[{format_vertex_set(W)}]"
+        checks.append(Verdict(name, PASS if ok else FAIL))
     if args.json:
         _emit_json(
             {
@@ -184,7 +174,7 @@ def _cmd_check_spec(args) -> int:
                 "frame_finite": report.frame_finite,
                 "regular": report.regular,
                 "witness_cycle": None if report.frame_finite else str(report.witness_cycle),
-                "checks": checks,
+                "checks": [v.as_json() for v in checks],
             }
         )
     else:
@@ -192,7 +182,7 @@ def _cmd_check_spec(args) -> int:
         print("components:", " ".join(format_vertex_set(S) for S in alg.special.undirected_components()))
         print("frame-finite:", "yes" if report.frame_finite else "no")
         if not report.frame_finite:
-            print(f"witness-cycle: {report.witness_cycle} at {report.witness_cycle.start}")
+            print(_cycle_witness(report, "witness-cycle:"))
         for W, ok in report.connectivity:
             print(f"connectivity{format_vertex_set(W)}:", "connected" if ok else "disconnected")
         print("regular:", "yes" if report.regular else "no")
@@ -311,13 +301,18 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

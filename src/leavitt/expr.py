@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, LeavittAlgebra, Monomial
+from .algebra import Element, LeavittAlgebra
 
 
 class ParseError(ValueError):
@@ -178,10 +178,6 @@ def parse(algebra: LeavittAlgebra, text: str) -> Element:
     return _Parser(algebra, text).parse()
 
 
-def _render_monomial(m: Monomial) -> str:
-    return str(m)
-
-
 def render(a: Element) -> str:
     """Canonical text: terms in basis order, reduced exact coefficients."""
     if not a.terms:
@@ -190,7 +186,7 @@ def render(a: Element) -> str:
     pieces = []
     for m in a.support():
         negative, mag = field.split_sign(a.terms[m])
-        body = _render_monomial(m)
+        body = str(m)
         if mag != field.one:
             body = f"{mag} {body}"
         if not pieces:

@@ -79,9 +79,6 @@ class Specialization:
             n += 1
         return n
 
-    def is_special_path(self, p: Path) -> bool:
-        return len(p) >= 1 and all(name in self.special_edges for name in p.edges)
-
     # -- the special walk --------------------------------------------------
 
     def orbit_path(self, v: str, n: int) -> Path:

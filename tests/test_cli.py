@@ -47,6 +47,14 @@ GOLDEN_CASES = {
         "idempotent", "--graph", "data/toeplitz.json", "--gamma", "data/gammaB.json",
         "--set", "w", "--prec", "4",
     ],
+    "verify_twocycle_prec3.json": [
+        "verify", "--graph", "data/twocycle.json", "--auto-regular", "--prec", "3",
+        "--suite", "all", "--json",
+    ],
+    "verify_toeplitz_gammaA_prec5.txt": [
+        "verify", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
+        "--prec", "5", "--suite", "all",
+    ],
 }
 
 
@@ -194,3 +202,32 @@ def test_checks_exit_contract():
     bad = Verdict("c", FAIL, None, None)
     assert cli._checks_exit([ok, refused]) == 0
     assert cli._checks_exit([ok, bad]) == 1
+
+
+def test_escalation_and_memory_errors_exit_2(monkeypatch, capsys):
+    # exit 1 means "a check failed", so neither error may escape as a traceback
+    from leavitt import structure
+    from leavitt.completion import truncate
+
+    monkeypatch.chdir(HERE.parent)
+    argv = ["verify", "--graph", "data/y.json", "--auto-regular", "--prec", "4"]
+
+    def uncertified(alg, W, Kw):  # certifies nothing, so escalation cannot converge
+        return truncate(alg.zero(), 0)
+
+    monkeypatch.setattr(structure, "arrival_idempotent", uncertified)
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == "error: working-precision escalation failed to converge\n"
+
+    def exhausted(alg, W, Kw):
+        raise MemoryError
+
+    # run() lets MemoryError through to in-process callers; main() exits 2
+    monkeypatch.setattr(structure, "arrival_idempotent", exhausted)
+    with pytest.raises(MemoryError):
+        cli.run(argv)
+    monkeypatch.setattr("sys.argv", ["leavitt", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "error: out of memory\n"

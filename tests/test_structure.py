@@ -187,23 +187,30 @@ def test_run_suite_order_independent(alg_b):
 
 def _thunk_count(alg, suite, K):
     # mirror of run_suite's scheduling: every check family contributes one
-    # thunk per target
+    # thunk per target; V is a target of its own unless it is a frame member
     frame = alg.graph.frame()
+    extra = frozenset(alg.graph.vertices) not in frame
     count = 0
-    count += len(frame) + 1  # central idempotents
+    count += len(frame) + extra  # central idempotents
     count += len(frame)  # collapse
-    count += len(frame) + 1  # partitions
+    count += len(frame) + extra  # partitions
     count += 2  # vertex laws + transfer bundles
     count += sum(len(W) for W in frame)  # recovery
     count += 1  # assembly
     return count
 
 
-def test_run_suite_names_unique(alg_b):
-    verdicts = run_suite(alg_b, "all", 3)
-    names = [v.name for v in verdicts]
-    assert len(names) == len(set(names))
-    assert names == sorted(names)
+def test_run_suite_names_unique(alg_a, alg_b):
+    # loop, rose2 and twocycle have V itself as a frame member
+    algebras = [corpus_algebra(name) for name in CORPUS] + [alg_a, alg_b]
+    for alg in algebras:
+        verdicts = run_suite(alg, "all", 3)
+        names = [v.name for v in verdicts]
+        assert len(names) == len(set(names)), alg
+        assert names == sorted(names)
+        # _thunk_count must mirror the scheduler on every graph
+        backwards = reversed(range(_thunk_count(alg, "all", 3)))
+        assert run_suite(alg, "all", 3, order=backwards) == verdicts
 
 
 def test_run_suite_refusals_not_failures(alg_a):
