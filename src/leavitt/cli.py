@@ -131,7 +131,11 @@ def _load_algebra(args) -> LeavittAlgebra:
     return LeavittAlgebra(special, parse_field(args.field))
 
 
-def _emit_json(payload: dict):
+def _emit_json(alg: LeavittAlgebra, payload: dict, K=None):
+    """Print a ``--json`` report with the field and any requested precision."""
+    payload["field"] = alg.field.name
+    if K is not None:
+        payload["requested_precision"] = format_order(K)
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -167,8 +171,8 @@ def _cmd_check_spec(args) -> int:
         checks.append(Verdict(name, PASS if ok else FAIL))
     if args.json:
         _emit_json(
+            alg,
             {
-                "field": alg.field.name,
                 "frame": [sorted(W) for W in alg.graph.frame()],
                 "components": [sorted(S) for S in alg.special.undirected_components()],
                 "frame_finite": report.frame_finite,
@@ -215,12 +219,12 @@ def _cmd_idempotent(args) -> int:
     verdict = check_central_idempotent(alg, W, K)
     if args.json:
         _emit_json(
+            alg,
             {
-                "field": alg.field.name,
-                "requested_precision": format_order(K),
                 "idempotents": {format_vertex_set(W): element.render()},
                 "checks": [verdict.as_json()],
-            }
+            },
+            K,
         )
     else:
         print(f"e({format_vertex_set(W)}) = {element.render()}")
@@ -241,10 +245,7 @@ def _cmd_decompose(args) -> int:
     K = _parse_prec(args.prec)
     report = decompose(alg, K)
     if args.json:
-        payload = report.as_json()
-        payload["field"] = alg.field.name
-        payload["requested_precision"] = format_order(K)
-        _emit_json(payload)
+        _emit_json(alg, report.as_json(), K)
     else:
         print("frame:", " ".join(format_vertex_set(W) for W in report.frame))
         print("components:", " ".join(format_vertex_set(S) for S in report.components))
@@ -264,14 +265,8 @@ def _cmd_verify(args) -> int:
     K = _parse_prec(args.prec)
     verdicts = run_suite(alg, args.suite, K)
     if args.json:
-        _emit_json(
-            {
-                "field": alg.field.name,
-                "suite": args.suite,
-                "requested_precision": format_order(K),
-                "checks": [v.as_json() for v in verdicts],
-            }
-        )
+        payload = {"suite": args.suite, "checks": [v.as_json() for v in verdicts]}
+        _emit_json(alg, payload, K)
     else:
         for v in verdicts:
             print(v.text_line())

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .algebra import Element, LeavittAlgebra, Monomial
 from .filtration import INF, Order, as_order, format_order, min_order, order_of, product_precision
 from .graph import Graph, Path
+from .specialization import Specialization
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def equal_mod(a: TruncatedElement, b: TruncatedElement, K) -> bool:
 
 
 def _arrival_enumeration(g: Graph, W, max_len: int):
-    """Arrival paths into W of length <= max_len, plus a completeness flag.
+    """Arrival paths into W of length <= max_len, shortest first, and a completeness flag.
 
     The flag is set when no travel prefix outside W survives, i.e. the
     enumeration provably saw the whole arrival set.
@@ -166,7 +167,6 @@ def _arrival_enumeration(g: Graph, W, max_len: int):
                     nxt.append(q)
         frontier = nxt
         length += 1
-    results.sort(key=Path.sort_key)
     return results, not frontier
 
 
@@ -180,7 +180,7 @@ def arrival_paths(g: Graph, W, max_len: int) -> list[Path]:
         raise ValueError("arrival paths need a nonempty target set")
     for w in W:
         g.check_vertex(w)
-    return _arrival_enumeration(g, W, max_len)[0]
+    return sorted(_arrival_enumeration(g, W, max_len)[0], key=Path.sort_key)
 
 
 def _enumeration_cutoff(g: Graph, K: Fraction) -> int:
@@ -218,6 +218,24 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
     return _make(body, K)
 
 
+def walk_branches(special: Specialization, v: str, K):
+    """The branch paths walk(k) f of the special walk from v.
+
+    walk(k) is the walk's first k steps and f a non-special edge at its
+    end; k runs while 2(k + 1) < K and the walk has not reached a sink.
+    The monomial (walk(k) f)(walk(k) f)* has order 2(k + 1).
+    """
+    g = special.graph
+    walk = g.vertex_path(v)
+    k = 0
+    while 2 * (k + 1) < K and not g.is_sink(walk.end):
+        for f in g.out_edges(walk.end):
+            if not special.is_special(f.name):
+                yield g.extend(walk, f)
+        walk = g.extend(walk, g.edge(special.mapping[walk.end]))
+        k += 1
+
+
 def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
     """The limit idempotent of the special walk from v.
 
@@ -229,43 +247,20 @@ def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
     """
     K = as_order(K)
     g = alg.graph
-    g.check_vertex(v)
     special = alg.special
-
-    sink_step = None
-    at = v
-    for step in range(len(g.vertices) + 1):
-        if g.is_sink(at):
-            sink_step = step
-            break
-        at = g.edge(special.mapping[at]).dst
-
-    if sink_step is None and K == INF:
+    reaches_sink = bool(special.orbit_vertices(v) & g.sinks())
+    if not reaches_sink and K == INF:
         raise ValueError(
             "vertex idempotents need a finite working precision unless the "
             "special walk reaches a sink"
         )
 
-    terms: dict[Monomial, object] = {}
     vp = g.vertex_path(v)
-    terms[Monomial(vp, vp)] = alg.field.one
+    terms: dict[Monomial, object] = {Monomial(vp, vp): alg.field.one}
     minus_one = -alg.field.one
-    walk = vp
-    k = 0
-    while True:
-        if sink_step is not None:
-            if k >= sink_step:
-                break
-        elif not 2 * (k + 1) < K:
-            break
-        for f in g.out_edges(walk.end):
-            if special.is_special(f.name):
-                continue
-            q = g.extend(walk, f)
-            terms[Monomial(q, q)] = minus_one
-        walk = g.extend(walk, g.edge(special.mapping[walk.end]))
-        k += 1
+    for q in walk_branches(special, v, INF if reaches_sink else K):
+        terms[Monomial(q, q)] = minus_one
     body = alg.element(terms)
-    if sink_step is not None:
+    if reaches_sink:
         return exact(body)
     return _make(body, K)

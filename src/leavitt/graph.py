@@ -94,6 +94,17 @@ class Graph:
             inc[e.dst].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
+        self._descendants = {}
+        for v in self._vertices:
+            seen = {v}
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for e in self._out[u]:
+                    if e.dst not in seen:
+                        seen.add(e.dst)
+                        stack.append(e.dst)
+            self._descendants[v] = frozenset(seen)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -193,15 +204,7 @@ class Graph:
     def descendants(self, v: str) -> frozenset[str]:
         """All vertices reachable from v, including v itself."""
         self.check_vertex(v)
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for e in self._out[u]:
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append(e.dst)
-        return frozenset(seen)
+        return self._descendants[v]
 
     def _check_vertex_subset(self, W) -> frozenset[str]:
         W = frozenset(W)
@@ -214,58 +217,21 @@ class Graph:
         W = self._check_vertex_subset(W)
         if not W:
             raise ValueError("hereditary sets are nonempty by definition")
-        return all(self.descendants(w) <= W for w in W)
-
-    def _scc_list(self) -> list[frozenset[str]]:
-        # Kosaraju: forward DFS finish order, then DFS on the transpose.
-        finish: list[str] = []
-        seen: set[str] = set()
-        for root in self._vertices:
-            if root in seen:
-                continue
-            stack = [(root, 0)]
-            seen.add(root)
-            while stack:
-                v, i = stack.pop()
-                out = self._out[v]
-                if i < len(out):
-                    stack.append((v, i + 1))
-                    u = out[i].dst
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append((u, 0))
-                else:
-                    finish.append(v)
-        comps = []
-        assigned: set[str] = set()
-        for root in reversed(finish):
-            if root in assigned:
-                continue
-            comp = {root}
-            assigned.add(root)
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for e in self._in[v]:
-                    if e.src not in assigned:
-                        assigned.add(e.src)
-                        comp.add(e.src)
-                        stack.append(e.src)
-            comps.append(frozenset(comp))
-        return comps
+        return all(self._descendants[w] <= W for w in W)
 
     def frame(self) -> list[frozenset[str]]:
         """All minimal hereditary vertex sets, ordered by least member.
 
-        These are exactly the terminal strongly connected components: an
-        SCC with no edge leaving it is hereditary, and a minimal hereditary
-        set is the mutual-descendant class of any of its vertices.
+        These are exactly the descendant sets D with D(u) == D for every u
+        in D: such a D is hereditary, and any hereditary subset holds some
+        u together with D(u) == D.  Conversely every member w of a minimal
+        hereditary set W has the hereditary D(w) inside W, so D(w) == W.
         """
-        terminal = []
-        for comp in self._scc_list():
-            if all(e.dst in comp for v in comp for e in self._out[v]):
-                terminal.append(comp)
-        return sorted(terminal, key=min)
+        members = {
+            D for D in self._descendants.values()
+            if all(self._descendants[u] == D for u in D)
+        }
+        return sorted(members, key=min)
 
     def hereditary_complement(self, W) -> frozenset[str]:
         """The vertices with no descendant in W (itself hereditary).
@@ -277,7 +243,7 @@ class Graph:
         if W and not self.is_hereditary(W):
             raise ValueError("the given set is not hereditary")
         return frozenset(
-            v for v in self._vertices if not (self.descendants(v) & W)
+            v for v in self._vertices if not (self._descendants[v] & W)
         )
 
     # -- quotient --------------------------------------------------------
@@ -354,6 +320,8 @@ class Graph:
                 raise ValueError(f"edge missing key {k}") from None
             if not isinstance(name, str) or not NAME_RE.match(name):
                 raise ValueError(f"bad edge name {name!r}")
+            if not isinstance(src, str) or not isinstance(dst, str):
+                raise ValueError(f"edge {name!r} needs vertex names as its src and dst")
             edges.append(Edge(name, src, dst))
         return cls(verts, edges)
 

@@ -121,45 +121,23 @@ class Specialization:
                 at = nxt
         return None
 
-    def _member_connected(self, W: frozenset[str]) -> bool:
-        if len(W) == 1:
-            return True
-        adj: dict[str, set[str]] = {w: set() for w in W}
-        for w in W:
-            if self.graph.is_sink(w):
-                continue
-            e = self.graph.edge(self.mapping[w])
-            if e.dst in W:
-                adj[w].add(e.dst)
-                adj[e.dst].add(w)
-        seen = {min(W)}
-        stack = [min(W)]
-        while stack:
-            u = stack.pop()
-            for x in adj[u]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return seen == W
-
     def report(self) -> SpecializationReport:
         if self._report is None:
             frame = self.graph.frame()
             union = frozenset().union(*frame)
             witness = self._witness_cycle_outside(union)
-            conn = tuple((W, self._member_connected(W)) for W in frame)
+            # A hereditary W keeps its members' special edges inside W, and
+            # no vertex has two special edges, so no special path between
+            # two members of W can pass outside W (the first outside vertex
+            # on it would need two special edges).  The special edges
+            # inside W therefore connect W iff exactly one undirected
+            # component meets W.
+            comps = self.undirected_components()
+            conn = tuple((W, len([S for S in comps if S & W]) == 1) for W in frame)
             finite = witness is None
             regular = finite and all(ok for _, ok in conn)
             self._report = SpecializationReport(finite, regular, witness, conn)
         return self._report
-
-    @property
-    def frame_finite(self) -> bool:
-        return self.report().frame_finite
-
-    @property
-    def regular(self) -> bool:
-        return self.report().regular
 
     def undirected_components(self) -> tuple[frozenset[str], ...]:
         """Connected components once the special edges lose their direction."""
@@ -208,6 +186,29 @@ class Specialization:
             return cls.from_json(graph, json.load(fh))
 
 
+def _in_tree(graph: Graph, roots, within) -> dict[str, str]:
+    """Special edges along shortest paths into ``roots`` inside ``within``.
+
+    A breadth-first search over in-edges, visiting only vertices of
+    ``within``, gives every vertex that reaches ``roots`` its distance; each
+    reached vertex outside ``roots`` takes its least-named edge one step
+    closer.
+    """
+    dist = {r: 0 for r in roots}
+    queue = list(dist)
+    while queue:
+        u = queue.pop(0)
+        for e in graph.in_edges(u):
+            if e.src in within and e.src not in dist:
+                dist[e.src] = dist[u] + 1
+                queue.append(e.src)
+    return {
+        v: next(e.name for e in graph.out_edges(v) if dist.get(e.dst) == d - 1)
+        for v, d in dist.items()
+        if d
+    }
+
+
 def construct_regular(graph: Graph) -> Specialization:
     """Build a regular specialization; all ties break by least edge name.
 
@@ -219,44 +220,10 @@ def construct_regular(graph: Graph) -> Specialization:
     """
     frame = graph.frame()
     union: frozenset[str] = frozenset().union(*frame)
-    mapping: dict[str, str] = {}
-
+    mapping = _in_tree(graph, union, frozenset(graph.vertices))
     for W in frame:
-        non_sinks = [w for w in sorted(W) if not graph.is_sink(w)]
-        if not non_sinks:
-            continue
         root = min(W)
-        dist = {root: 0}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for e in graph.in_edges(u):
-                if e.src in W and e.src not in dist:
-                    dist[e.src] = dist[u] + 1
-                    queue.append(e.src)
-        for w in non_sinks:
-            if w == root:
-                mapping[w] = graph.out_edges(w)[0].name
-            else:
-                for e in graph.out_edges(w):
-                    if e.dst in W and dist[e.dst] == dist[w] - 1:
-                        mapping[w] = e.name
-                        break
-
-    dist = {v: 0 for v in union}
-    queue = sorted(union)
-    while queue:
-        u = queue.pop(0)
-        for e in graph.in_edges(u):
-            if e.src not in dist:
-                dist[e.src] = dist[u] + 1
-                queue.append(e.src)
-    for v in graph.vertices:
-        if v in union or graph.is_sink(v):
-            continue
-        for e in graph.out_edges(v):
-            if e.dst in dist and dist[e.dst] == dist[v] - 1:
-                mapping[v] = e.name
-                break
-
+        if not graph.is_sink(root):  # a minimal hereditary set with a sink is that sink
+            mapping.update(_in_tree(graph, {root}, W))
+            mapping[root] = graph.out_edges(root)[0].name
     return Specialization(graph, mapping)

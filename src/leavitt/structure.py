@@ -26,6 +26,7 @@ from .completion import (
     trunc_mul,
     truncate,
     vertex_idempotent,
+    walk_branches,
 )
 from .filtration import INF, Order, as_order, format_order, min_order
 from .graph import format_vertex_set
@@ -34,6 +35,8 @@ PASS = "pass"
 FAIL = "fail"
 REFUSED = "refused"
 SAMPLED_PASS = "sampled-pass"
+
+SAMPLE_LEN = 4  # total length of the monomials component-separation samples
 
 SUITES = ("all", "lemma10", "lemma14", "lemma15", "lemma19", "lemma21", "lemma24")
 
@@ -346,11 +349,11 @@ def _basic_monomials_between(alg: LeavittAlgebra, v: str, w: str, max_total: int
     return sorted(out, key=Monomial.sort_key)
 
 
-def check_ideal_transfer(alg: LeavittAlgebra, K, sample_len: int = 4) -> list[Verdict]:
+def check_ideal_transfer(alg: LeavittAlgebra, K) -> list[Verdict]:
     """Transfer along special edges and separation across components.
 
     Separation quantifies over all of the completion, so it is sampled on
-    basic monomials up to ``sample_len`` and labeled accordingly.
+    basic monomials up to ``SAMPLE_LEN`` and labeled accordingly.
     """
     K = _require_finite(K)
     g = alg.graph
@@ -375,12 +378,12 @@ def check_ideal_transfer(alg: LeavittAlgebra, K, sample_len: int = 4) -> list[Ve
             for w in g.vertices:
                 if comp_of[v] == comp_of[w]:
                     continue
-                for m in _basic_monomials_between(alg, v, w, sample_len):
+                for m in _basic_monomials_between(alg, v, w, SAMPLE_LEN):
                     x = trunc_mul(trunc_mul(ev[v], exact(alg.element({m: 1}))), ev[w])
                     pairs.append((x, zero, f"e_{v} ({m}) e_{w} = 0"))
         return pairs
 
-    note = f"sampled over basic monomials of total length <= {sample_len}"
+    note = f"sampled over basic monomials of total length <= {SAMPLE_LEN}"
     return [
         _certify("special-transfer", K, transfer_pairs),
         _certify("component-separation", K, separation_pairs, sampled=True, note=note),
@@ -401,28 +404,19 @@ def _conjugation_step(alg: LeavittAlgebra, W, vec, Kw) -> dict[str, TruncatedEle
     precision passes through undamaged.
     """
     g = alg.graph
-    special = alg.special
     out = {}
     for w in sorted(W):
         raw: dict[Monomial, object] = {}
         zero = alg.field.zero
         prec: Order = Kw  # dropped walk indices only shed order >= Kw
-        walk = g.vertex_path(w)
-        k = 0
-        while 2 * (k + 1) < Kw:
-            for f in g.out_edges(walk.end):
-                if special.is_special(f.name):
-                    continue
-                x = vec[f.dst]
-                prec = min(prec, x.prec)
-                left = g.extend(walk, f)
-                wrapped = (
-                    (Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
-                    for m, c in x.body.terms.items()
-                )
-                add_terms(raw, wrapped, zero)
-            walk = g.extend(walk, g.edge(special.mapping[walk.end]))
-            k += 1
+        for left in walk_branches(alg.special, w, Kw):
+            x = vec[left.end]
+            prec = min(prec, x.prec)
+            wrapped = (
+                (Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
+                for m, c in x.body.terms.items()
+            )
+            add_terms(raw, wrapped, zero)
         out[w] = truncate(alg.element(raw), prec)
     return out
 

@@ -84,6 +84,29 @@ def minimal_hereditary_bruteforce(g: Graph) -> list[frozenset]:
     return sorted(minimal, key=min)
 
 
+def special_connected_by_dfs(s: Specialization, W: frozenset) -> bool:
+    """Whether the special edges with both ends in W connect W, by a DFS
+    over W alone."""
+    g = s.graph
+    adj = {w: set() for w in W}
+    for w in W:
+        if g.is_sink(w):
+            continue
+        e = g.edge(s.mapping[w])
+        if e.dst in W:
+            adj[w].add(e.dst)
+            adj[e.dst].add(w)
+    seen = {min(W)}
+    stack = [min(W)]
+    while stack:
+        u = stack.pop()
+        for x in adj[u]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return seen == W
+
+
 # -- randomized generators ----------------------------------------------------
 
 

@@ -115,6 +115,9 @@ def test_exit_codes(monkeypatch, tmp_path):
     bad.write_text('{"vertices": ["v"], "edges": [], "x": 1}')
     code, _ = invoke(["frame", str(bad)])
     assert code == 2
+    bad.write_text('{"vertices": ["v"], "edges": [{"name": "e", "src": ["v"], "dst": "v"}]}')
+    code, _ = invoke(["frame", str(bad)])
+    assert code == 2
     code, _ = invoke(
         ["nf", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json", "v + zz"]
     )

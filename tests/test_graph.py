@@ -199,6 +199,11 @@ def test_json_rejects_bad_names():
         Graph.from_json(
             {"vertices": ["v"], "edges": [{"name": "e-1", "src": "v", "dst": "v"}]}
         )
+    for src, dst in ((["v"], "v"), ("v", {"v": "v"})):
+        with pytest.raises(ValueError, match="needs vertex names"):
+            Graph.from_json(
+                {"vertices": ["v"], "edges": [{"name": "e", "src": src, "dst": dst}]}
+            )
 
 
 def test_graph_rejects_duplicates_and_collisions():

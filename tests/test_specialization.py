@@ -2,9 +2,15 @@ import random
 
 import pytest
 
-from leavitt import Specialization, construct_regular
+from leavitt import Graph, Specialization, construct_regular
 
-from conftest import corpus_graphs, load_graph, random_graph, random_specialization
+from conftest import (
+    corpus_graphs,
+    load_graph,
+    random_graph,
+    random_specialization,
+    special_connected_by_dfs,
+)
 
 
 def test_validation():
@@ -62,6 +68,32 @@ def test_regular_examples():
     gr = load_graph("rose2")
     sr = Specialization(gr, {"v": "e"})
     assert sr.report().regular
+
+
+def test_connectivity_matches_dfs_oracle():
+    # dense graphs (out-degree 1-3 everywhere) have large frame members,
+    # whose special edges often fall apart
+    rng = random.Random(41)
+    disconnected = 0
+    for _ in range(300):
+        vs = [f"v{i}" for i in range(rng.randint(2, 7))]
+        edges = [
+            (f"e{v}_{j}", v, rng.choice(vs)) for v in vs for j in range(rng.randint(1, 3))
+        ]
+        s = random_specialization(rng, Graph(vs, edges))
+        for W, ok in s.report().connectivity:
+            assert ok == special_connected_by_dfs(s, W), (s.graph.to_json(), s.mapping, W)
+            disconnected += not ok
+    assert disconnected  # the sample covers both outcomes
+
+
+def test_complete2_with_special_loops_is_disconnected():
+    vs = ["v0", "v1"]
+    g = Graph(vs, [(f"e{i}_{j}", vs[i], vs[j]) for i in range(2) for j in range(2)])
+    report = Specialization(g, {"v0": "e0_0", "v1": "e1_1"}).report()
+    assert report.frame_finite
+    assert report.connectivity == ((frozenset(vs), False),)
+    assert not report.regular
 
 
 def test_construct_regular_corpus():
