@@ -49,10 +49,6 @@ class Monomial:
     def total_length(self) -> int:
         return len(self.left) + len(self.right)
 
-    @property
-    def is_vertex(self) -> bool:
-        return not self.left.edges and not self.right.edges
-
     def star(self) -> "Monomial":
         return Monomial(self.right, self.left)
 
@@ -162,9 +158,6 @@ class LeavittAlgebra:
 
     def ghost(self, name: str) -> "Element":
         return self.edge(name).star()
-
-    def monomial(self, p: Path, q: Path, coeff=1) -> "Element":
-        return self.element({Monomial(p, q): coeff})
 
     def element(self, terms) -> "Element":
         """Build an element from monomial/coefficient pairs, normalized."""

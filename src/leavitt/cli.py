@@ -55,15 +55,14 @@ def _parse_prec(text: str) -> Fraction:
     return value
 
 
-def _add_common(sub, gamma=True, prec=False):
+def _add_common(sub, prec=False):
     sub.add_argument("--graph", required=True, help="graph JSON file")
-    if gamma:
-        group = sub.add_mutually_exclusive_group(required=True)
-        group.add_argument("--gamma", help="specialization JSON file")
-        group.add_argument(
-            "--auto-regular", action="store_true",
-            help="construct the canonical regular specialization",
-        )
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--gamma", help="specialization JSON file")
+    group.add_argument(
+        "--auto-regular", action="store_true",
+        help="construct the canonical regular specialization",
+    )
     sub.add_argument("--field", default="q", help="coefficient field: q or fp:<p>")
     if prec:
         sub.add_argument("--prec", required=True, help="precision level (integer or a/b)")

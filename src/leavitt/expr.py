@@ -63,9 +63,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i
@@ -146,7 +146,7 @@ class _Parser:
             if den == 0:
                 raise ParseError("zero denominator", tok.line, tok.col)
             return self.algebra.field.ratio(num, den)
-        return self.algebra.field.from_int(num)
+        return self.algebra.field.coerce(num)
 
     def factor(self) -> Element:
         tok = self.take()

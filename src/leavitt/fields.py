@@ -58,22 +58,13 @@ class RationalField:
     """The rational numbers; coefficients are ``Fraction`` values."""
 
     name = "Q"
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def ratio(self, num: int, den: int) -> Fraction:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         return Fraction(num, den)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -96,14 +87,28 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with these bases is exact for every p < 2**64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p in _WITNESSES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -111,24 +116,17 @@ class PrimeField:
     """The prime field F_p; coefficients are ``ModInt`` residues."""
 
     def __init__(self, p: int):
+        if p >= 2**64:
+            raise ValueError(f"prime fields need p < 2**64, got {p}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
-
-    def from_int(self, n: int) -> ModInt:
-        return ModInt(n, self.p)
+        self.zero = ModInt(0, p)
+        self.one = ModInt(1, p)
 
     def ratio(self, num: int, den: int) -> ModInt:
-        return self.from_int(num) / self.from_int(den)
-
-    @property
-    def zero(self) -> ModInt:
-        return ModInt(0, self.p)
-
-    @property
-    def one(self) -> ModInt:
-        return ModInt(1, self.p)
+        return self.coerce(num) / self.coerce(den)
 
     def coerce(self, x):
         if isinstance(x, ModInt):

@@ -248,19 +248,19 @@ class Graph:
 
     # -- quotient --------------------------------------------------------
 
-    def collapse(self, W, base: str = "w") -> "Graph":
+    def collapse(self, W) -> "Graph":
         """Collapse the nonempty proper subset W to a fresh sink.
 
         Edges inside the complement are kept; edges entering W are
         redirected to the fresh sink under a primed name; edges leaving W
-        are dropped.  The fresh vertex has no outgoing edges.
+        are dropped.  The fresh sink is ``w#``, with more ``#`` while taken.
         """
         W = self._check_vertex_subset(W)
         if not W:
             raise ValueError("cannot collapse the empty set")
         if W == set(self._vertices):
             raise ValueError("cannot collapse the entire vertex set")
-        fresh = base + "#"
+        fresh = "w#"
         taken = set(self._vertices) | set(self._edge_by_name)
         while fresh in taken:
             fresh += "#"

@@ -20,7 +20,9 @@ non-sink vertex name to the name of one of its out-edges.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import Graph, Path
 
@@ -81,44 +83,40 @@ class Specialization:
 
     # -- the special walk --------------------------------------------------
 
+    def walk(self, v: str) -> Iterator[Path]:
+        """The prefixes of the special walk from v: v, then one special edge
+        at a time.  Stops after a prefix that ends at a sink; otherwise runs
+        forever."""
+        p = self.graph.vertex_path(v)
+        yield p
+        while not self.graph.is_sink(p.end):
+            p = self.graph.extend(p, self.graph.edge(self.mapping[p.end]))
+            yield p
+
     def orbit_path(self, v: str, n: int) -> Path:
         """The special walk of length up to n from v; it parks at sinks."""
-        p = self.graph.vertex_path(v)
-        for _ in range(n):
-            if self.graph.is_sink(p.end):
-                break
-            p = self.graph.extend(p, self.graph.edge(self.mapping[p.end]))
+        *_, p = islice(self.walk(v), max(n, 0) + 1)
         return p
 
     def orbit_vertices(self, v: str) -> frozenset[str]:
-        """All vertices visited by the special walk from v."""
-        self.graph.check_vertex(v)
-        seen = [v]
-        at = v
-        while not self.graph.is_sink(at):
-            at = self.graph.edge(self.mapping[at]).dst
-            if at in seen:
-                break
-            seen.append(at)
-        return frozenset(seen)
+        """All vertices visited by the special walk from v; a walk on |V|
+        vertices repeats within |V| steps."""
+        return frozenset(p.end for p in islice(self.walk(v), len(self.graph.vertices)))
+
+    def _terminal(self, v: str) -> frozenset[str]:
+        """The sink or special cycle where the walk from v ends; the walk is
+        on it after |V| - 1 steps."""
+        return self.orbit_vertices(self.orbit_path(v, len(self.graph.vertices) - 1).end)
 
     # -- structural analysis ------------------------------------------------
 
     def _witness_cycle_outside(self, frame_union: frozenset[str]) -> Path | None:
-        for start in self.graph.vertices:
-            trail = [start]
-            at = start
-            while True:
-                if at in frame_union or self.graph.is_sink(at):
-                    break
-                nxt = self.graph.edge(self.mapping[at]).dst
-                if nxt in trail:
-                    i = trail.index(nxt)
-                    cycle = trail[i:]
-                    names = [self.mapping[u] for u in cycle]
-                    return self.graph.path(nxt, names)
-                trail.append(nxt)
-                at = nxt
+        # Sinks are frame members, so only a special cycle can miss the union.
+        for v in self.graph.vertices:
+            cycle = self._terminal(v)
+            if not cycle & frame_union:
+                entry = next(p.end for p in self.walk(v) if p.end in cycle)
+                return self.orbit_path(entry, len(cycle))
         return None
 
     def report(self) -> SpecializationReport:
@@ -140,29 +138,15 @@ class Specialization:
         return self._report
 
     def undirected_components(self) -> tuple[frozenset[str], ...]:
-        """Connected components once the special edges lose their direction."""
-        adj: dict[str, set[str]] = {v: set() for v in self.graph.vertices}
-        for name in self.special_edges:
-            e = self.graph.edge(name)
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-        comps = []
-        assigned: set[str] = set()
+        """Connected components once the special edges lose their direction.
+
+        No vertex has two special out-edges, so each component holds exactly
+        one sink or special cycle, and the components are their basins.
+        """
+        basins: dict[frozenset[str], set[str]] = {}
         for v in self.graph.vertices:
-            if v in assigned:
-                continue
-            comp = {v}
-            assigned.add(v)
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for x in adj[u]:
-                    if x not in assigned:
-                        assigned.add(x)
-                        comp.add(x)
-                        stack.append(x)
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=min))
+            basins.setdefault(self._terminal(v), set()).add(v)
+        return tuple(sorted(map(frozenset, basins.values()), key=min))
 
     # -- serialization -------------------------------------------------------
 

@@ -560,8 +560,8 @@ def decompose(alg: LeavittAlgebra, K) -> DecompositionReport:
 def run_suite(alg: LeavittAlgebra, suite: str, K, order=None) -> list[Verdict]:
     """Run a named verification suite; verdicts come back sorted by name.
 
-    ``order`` optionally permutes check execution (results are order
-    independent; the hook exists so tests can prove that).
+    ``order``, if given, reorders the scheduled checks in place (such as
+    ``list.reverse``); results are order independent, and tests prove it.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
@@ -602,10 +602,9 @@ def run_suite(alg: LeavittAlgebra, suite: str, K, order=None) -> list[Verdict]:
 
         thunks.append(assembly)
 
-    indices = list(range(len(thunks)))
     if order is not None:
-        indices = list(order)
+        order(thunks)
     verdicts: list[Verdict] = []
-    for i in indices:
-        verdicts.extend(thunks[i]())
+    for thunk in thunks:
+        verdicts.extend(thunk())
     return sorted(verdicts, key=lambda v: v.name)

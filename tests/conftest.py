@@ -107,6 +107,84 @@ def special_connected_by_dfs(s: Specialization, W: frozenset) -> bool:
     return seen == W
 
 
+def orbit_path_by_steps(s: Specialization, v: str, n: int):
+    """The special walk of length up to n from v, one edge at a time."""
+    g = s.graph
+    p = g.vertex_path(v)
+    for _ in range(n):
+        if g.is_sink(p.end):
+            break
+        p = g.extend(p, g.edge(s.mapping[p.end]))
+    return p
+
+
+def orbit_vertices_by_steps(s: Specialization, v: str) -> frozenset:
+    """The vertices of the special walk from v, stepped until one repeats."""
+    g = s.graph
+    seen = [v]
+    at = v
+    while not g.is_sink(at):
+        at = g.edge(s.mapping[at]).dst
+        if at in seen:
+            break
+        seen.append(at)
+    return frozenset(seen)
+
+
+def witness_cycle_by_trail(s: Specialization, frame_union: frozenset):
+    """The first special cycle outside frame_union, found by following the
+    walk from each vertex in turn and keeping the trail until it repeats."""
+    g = s.graph
+    for start in g.vertices:
+        trail = [start]
+        at = start
+        while at not in frame_union and not g.is_sink(at):
+            nxt = g.edge(s.mapping[at]).dst
+            if nxt in trail:
+                cycle = trail[trail.index(nxt):]
+                return g.path(nxt, [s.mapping[u] for u in cycle])
+            trail.append(nxt)
+            at = nxt
+    return None
+
+
+def undirected_components_by_dfs(s: Specialization) -> tuple:
+    """Components of the special edges without direction, by a DFS over an
+    undirected adjacency table."""
+    g = s.graph
+    adj = {v: set() for v in g.vertices}
+    for name in s.special_edges:
+        e = g.edge(name)
+        adj[e.src].add(e.dst)
+        adj[e.dst].add(e.src)
+    comps = []
+    assigned = set()
+    for v in g.vertices:
+        if v in assigned:
+            continue
+        comp = {v}
+        assigned.add(v)
+        stack = [v]
+        while stack:
+            for x in adj[stack.pop()] - assigned:
+                assigned.add(x)
+                comp.add(x)
+                stack.append(x)
+        comps.append(frozenset(comp))
+    return tuple(sorted(comps, key=min))
+
+
+def is_prime_by_trial_division(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 # -- randomized generators ----------------------------------------------------
 
 

@@ -13,7 +13,9 @@ from leavitt import (
     render,
 )
 
-from conftest import load_graph, random_element, random_monomial
+from leavitt.fields import _is_prime
+
+from conftest import is_prime_by_trial_division, load_graph, random_element, random_monomial
 
 
 def mono(g, p_edges, q_edges, p_start=None, q_start=None):
@@ -206,6 +208,17 @@ def test_prime_field_arithmetic():
     assert render(parse(alg, "5 v")) == "0"
     b = parse(alg, "e e*")
     assert b * b == b
+
+
+def test_primality_matches_trial_division():
+    assert all(_is_prime(n) == is_prime_by_trial_division(n) for n in range(10**5))
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(2**61 + 1)
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    assert PrimeField(2**64 - 59).p == 2**64 - 59  # the largest prime below the bound
+    for p in (2**64, 2**64 + 13, 2**127 - 1):
+        with pytest.raises(ValueError, match=r"p < 2\*\*64"):
+            PrimeField(p)
 
 
 def test_mixed_algebra_rejected(alg_a, alg_b):

@@ -128,6 +128,11 @@ def test_exit_codes(monkeypatch, tmp_path):
     )
     assert code == 2
     code, _ = invoke(
+        ["nf", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
+         "--field", f"fp:{2**127 - 1}", "v"]
+    )
+    assert code == 2
+    code, _ = invoke(
         ["verify", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
          "--prec", "-3", "--suite", "all"]
     )

@@ -34,6 +34,12 @@ def test_syntax_errors_carry_position_and_expectations(alg_a):
         parse(alg_a, "1/0 v")
     with pytest.raises(ParseError, match="stray character"):
         parse(alg_a, "v + $")
+    # digits that int() rejects are not numbers
+    for text, col in (("\u00b2", 1), ("1/\u00b2", 3)):
+        with pytest.raises(ParseError, match="stray character") as info:
+            parse(alg_a, text)
+        assert info.value.col == col
+    assert parse(alg_a, "\u0663 v") == parse(alg_a, "3 v")
 
 
 def test_noncomposable_product_is_zero(alg_a):

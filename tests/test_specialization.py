@@ -7,9 +7,13 @@ from leavitt import Graph, Specialization, construct_regular
 from conftest import (
     corpus_graphs,
     load_graph,
+    orbit_path_by_steps,
+    orbit_vertices_by_steps,
     random_graph,
     random_specialization,
     special_connected_by_dfs,
+    undirected_components_by_dfs,
+    witness_cycle_by_trail,
 )
 
 
@@ -94,6 +98,30 @@ def test_complete2_with_special_loops_is_disconnected():
     assert report.frame_finite
     assert report.connectivity == ((frozenset(vs), False),)
     assert not report.regular
+
+
+def test_walk_facts_match_stepping_oracles():
+    rng = random.Random(57)
+    graphs = []
+    for _ in range(150):
+        vs = [f"v{i}" for i in range(rng.randint(1, 7))]
+        edges = [
+            (f"e{v}_{j}", v, rng.choice(vs)) for v in vs for j in range(rng.randint(1, 3))
+        ]
+        graphs += [Graph(vs, edges), random_graph(rng)]
+    witnesses = 0
+    for g in graphs:
+        union = frozenset().union(*g.frame())
+        for s in (random_specialization(rng, g), construct_regular(g)):
+            witness = s.report().witness_cycle
+            assert witness == witness_cycle_by_trail(s, union), (g.to_json(), s.mapping)
+            witnesses += witness is not None
+            assert s.undirected_components() == undirected_components_by_dfs(s)
+            for v in g.vertices:
+                assert s.orbit_vertices(v) == orbit_vertices_by_steps(s, v)
+                for n in (0, 1, 2, 5, 9):
+                    assert s.orbit_path(v, n) == orbit_path_by_steps(s, v, n)
+    assert witnesses  # the sample covers specializations that are not frame-finite
 
 
 def test_construct_regular_corpus():
