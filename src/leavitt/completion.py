@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import Element, LeavittAlgebra, Monomial
 from .filtration import INF, Order, as_order, format_order, min_order, order_of, product_precision
@@ -138,28 +139,89 @@ def equal_mod(a: TruncatedElement, b: TruncatedElement, K) -> bool:
 # -- arrival paths and their idempotents -----------------------------------
 
 
-def _arrival_enumeration(g: Graph, W, max_len: int):
-    """Arrival paths into W of length <= max_len, shortest first, and a completeness flag.
+def _special_depth(special: Specialization, W: frozenset) -> int:
+    """D: the longest special walk from outside W that ends on entering W.
 
-    The flag is set when no travel prefix outside W survives, i.e. the
-    enumeration provably saw the whole arrival set.
+    Before it enters W such a walk visits distinct vertices outside W (a
+    walk that repeats a vertex is on a special cycle and never leaves it),
+    so D <= |V| - |W|.  The special suffix of an arrival path is such a walk.
     """
-    W = frozenset(W)
-    results = [g.vertex_path(w) for w in sorted(W)]
-    frontier = [g.vertex_path(v) for v in g.vertices if v not in W]
-    length = 0
-    while frontier and length < max_len:
-        nxt = []
-        for p in frontier:
-            for e in g.out_edges(p.end):
-                q = g.extend(p, e)
-                if e.dst in W:
-                    results.append(q)
+    n = len(special.graph.vertices) - len(W)
+    return max(
+        (next((len(p) for p in islice(special.walk(v), n + 1) if p.end in W), 0)
+         for v in special.graph.vertices if v not in W),
+        default=0,
+    )
+
+
+def _arrivals(g: Graph, W: frozenset, special_edges, K: Fraction, D: int):
+    """The arrival paths into W of order < K, and whether any was left out.
+
+    An arrival path p of length l whose last s edges are special (and
+    whose edge before them, if any, is not) has order 2l/(2s + 1); it is
+    kept iff 2l * K.den < K.num * (2s + 1).  The search runs depth first
+    from each vertex outside W that reaches W, over edges into vertices
+    that reach W, carrying l and s as integers.  A travel prefix of length
+    L at u is pruned once 2(L + dist(u, W)) * K.den >= K.num * (2D + 1):
+    each arrival path through it has length >= L + dist(u, W) and special
+    suffix <= D, so order >= K.  ``D`` must bound the special suffix of
+    every arrival path.  The flag is set when an arrival path failed the
+    order test or a prefix was pruned.
+    """
+    num, den = K.numerator, K.denominator
+    budget = num * (2 * D + 1)
+    dist = g.distances_to(W)
+    steps = {
+        u: [(e.name, e.dst, e.name in special_edges, dist[e.dst])
+            for e in g.out_edges(u) if e.dst in dist]
+        for u in dist if u not in W
+    }
+    found = [g.vertex_path(w) for w in sorted(W)] if num > 0 else []
+    dropped = num <= 0
+    for v in sorted(steps):
+        if 2 * dist[v] * den >= budget:
+            dropped = True
+            continue
+        names: list[str] = []  # the travel prefix below the top of the stack
+        stack = [(iter(steps[v]), 0)]
+        while stack:
+            it, run = stack[-1]
+            step = next(it, None)
+            if step is None:
+                stack.pop()
+                if names:
+                    names.pop()
+                continue
+            name, dst, special, d = step
+            length = len(stack)
+            s = run + 1 if special else 0
+            if not d:
+                if 2 * length * den < num * (2 * s + 1):
+                    found.append(Path(v, (*names, name), dst))
                 else:
-                    nxt.append(q)
-        frontier = nxt
-        length += 1
-    return results, not frontier
+                    dropped = True
+            elif 2 * (length + d) * den >= budget:
+                dropped = True
+            else:
+                names.append(name)
+                stack.append((iter(steps[dst]), s))
+    return found, dropped
+
+
+def _outside_path_reaches(g: Graph, W: frozenset, n: int) -> bool:
+    """Whether some path of length n avoids the hereditary set W.
+
+    No edge leaves W, so a cycle through a vertex outside W stays outside
+    W and answers yes.  Without one, a successor outside W has fewer
+    descendants, so one pass in that order finds the longest path.
+    """
+    longest: dict[str, int] = {}
+    for v in sorted((v for v in g.vertices if v not in W), key=lambda v: len(g.descendants(v))):
+        succ = [e.dst for e in g.out_edges(v) if e.dst not in W]
+        if any(v in g.descendants(x) for x in succ):
+            return True
+        longest[v] = max((longest[x] + 1 for x in succ), default=0)
+    return bool(longest) and max(longest.values()) >= n
 
 
 def arrival_paths(g: Graph, W, max_len: int) -> list[Path]:
@@ -172,20 +234,30 @@ def arrival_paths(g: Graph, W, max_len: int) -> list[Path]:
         raise ValueError("arrival paths need a nonempty target set")
     for w in W:
         g.check_vertex(w)
-    return sorted(_arrival_enumeration(g, W, max_len)[0], key=Path.sort_key)
+    # Counting no edge as special, a path of length l has order 2l, which
+    # is below 2 max_len + 1 iff l <= max_len.
+    paths, _ = _arrivals(g, W, frozenset(), Fraction(2 * max(max_len, 0) + 1), 0)
+    return sorted(paths, key=Path.sort_key)
 
 
 def _enumeration_cutoff(g: Graph, K: Fraction) -> int:
-    # Arrival paths keep their special suffix below |V| per side, so a path
-    # of order < K has length < K(2|V| + 1)/2.
+    # An arrival path of order < K has 2l < K(2s + 1) with special suffix
+    # s <= D <= |V| - 1, so it is shorter than K(2|V| + 1)/2.  The search
+    # in _arrivals never goes that deep: it prunes a prefix of length L at
+    # u once 2(L + dist(u, W)) >= K(2D + 1).  The cutoff decides exactness:
+    # e(W) is exact iff no path of this length avoids W (so every arrival
+    # path is shorter) and every arrival path has order < K.
     return math.ceil(Fraction(K) * (2 * len(g.vertices) + 1) / 2)
 
 
 def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
     """The sum of p p* over arrival paths in the hereditary set W.
 
-    Keeps the terms of order < K at precision K; when the enumeration
-    provably exhausts the arrival set the value is exact.
+    Keeps exactly the terms of order < K, found by the pruned search of
+    ``_arrivals`` with D the longest special walk into W, at precision K.
+    The value is exact iff no path of length ``_enumeration_cutoff`` avoids
+    W and the search left no arrival path out: none failed the order test
+    and no prefix that can reach W was pruned.
     """
     K = as_order(K)
     g = alg.graph
@@ -194,20 +266,13 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
         raise ValueError(f"{sorted(W)} is not hereditary")
     if K == INF:
         raise ValueError("arrival idempotents need a finite working precision")
-    paths, complete = _arrival_enumeration(g, W, _enumeration_cutoff(g, K))
+    special = alg.special
+    paths, dropped = _arrivals(g, W, special.special_edges, K, _special_depth(special, W))
     one = alg.field.one
-    kept: dict[Monomial, object] = {}
-    dropped = False
-    for p in paths:
-        m = Monomial(p, p)
-        if order_of(alg.special, m) < K:
-            kept[m] = one
-        else:
-            dropped = True
-    body = alg.element(kept)
-    if complete and not dropped:
-        return exact(body)
-    return _make(body, K)
+    body = alg.element({Monomial(p, p): one for p in paths})
+    if dropped or _outside_path_reaches(g, W, _enumeration_cutoff(g, K)):
+        return _make(body, K)
+    return exact(body)
 
 
 def walk_branches(special: Specialization, v: str, K):

@@ -212,6 +212,19 @@ class Graph:
             self.check_vertex(v)
         return W
 
+    def distances_to(self, roots, within=None) -> dict[str, int]:
+        """The length of a shortest path into ``roots`` from every vertex that
+        has one, by a breadth-first search over in-edges.  With ``within``
+        given, only vertices of ``within`` join the search."""
+        dist = {r: 0 for r in roots}
+        queue = list(dist)
+        for u in queue:
+            for e in self._in[u]:
+                if e.src not in dist and (within is None or e.src in within):
+                    dist[e.src] = dist[u] + 1
+                    queue.append(e.src)
+        return dist
+
     def is_hereditary(self, W) -> bool:
         """True iff the nonempty set W is closed under taking descendants."""
         W = self._check_vertex_subset(W)

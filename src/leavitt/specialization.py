@@ -173,19 +173,11 @@ class Specialization:
 def _in_tree(graph: Graph, roots, within) -> dict[str, str]:
     """Special edges along shortest paths into ``roots`` inside ``within``.
 
-    A breadth-first search over in-edges, visiting only vertices of
-    ``within``, gives every vertex that reaches ``roots`` its distance; each
-    reached vertex outside ``roots`` takes its least-named edge one step
-    closer.
+    Every vertex of ``within`` that reaches ``roots`` through ``within``
+    gets its distance; each such vertex outside ``roots`` takes its
+    least-named edge one step closer.
     """
-    dist = {r: 0 for r in roots}
-    queue = list(dist)
-    while queue:
-        u = queue.pop(0)
-        for e in graph.in_edges(u):
-            if e.src in within and e.src not in dist:
-                dist[e.src] = dist[u] + 1
-                queue.append(e.src)
+    dist = graph.distances_to(roots, within)
     return {
         v: next(e.name for e in graph.out_edges(v) if dist.get(e.dst) == d - 1)
         for v, d in dist.items()

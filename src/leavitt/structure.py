@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LeavittAlgebra, Monomial, add_terms
+from .algebra import Element, LeavittAlgebra, Monomial, add_terms
 from .completion import (
     TruncatedElement,
     arrival_idempotent,
@@ -401,7 +401,10 @@ def _conjugation_step(alg: LeavittAlgebra, W, vec, Kw) -> dict[str, TruncatedEle
     k while 2(k+1) < Kw.  The conjugating edge f is never special, so
     wrapping a monomial leaves its special suffix and degree alone while
     adding 2(k+1) to its length: orders never drop, and the operand's
-    precision passes through undamaged.
+    precision passes through undamaged.  Wrapping also keeps a basic
+    monomial basic: each side of the result ends in the last edge of that
+    side of the operand, or in f where that side is a vertex, and f is not
+    special.  The wrapped terms therefore need no normal-form pass.
     """
     g = alg.graph
     out = {}
@@ -417,7 +420,7 @@ def _conjugation_step(alg: LeavittAlgebra, W, vec, Kw) -> dict[str, TruncatedEle
                 for m, c in x.body.terms.items()
             )
             add_terms(raw, wrapped, zero)
-        out[w] = truncate(alg.element(raw), prec)
+        out[w] = truncate(Element(alg, raw), prec)
     return out
 
 

@@ -1,10 +1,14 @@
 import itertools
+import math
 import random
 from pathlib import Path as FsPath
 
 import pytest
 
 from leavitt import Graph, LeavittAlgebra, Monomial, Specialization, construct_regular
+from leavitt.algebra import add_terms
+from leavitt.completion import exact, truncate, walk_branches
+from leavitt.filtration import as_order, order_of
 
 DATA = FsPath(__file__).resolve().parent.parent / "data"
 
@@ -172,6 +176,70 @@ def undirected_components_by_dfs(s: Specialization) -> tuple:
                 stack.append(x)
         comps.append(frozenset(comp))
     return tuple(sorted(comps, key=min))
+
+
+def arrival_enumeration_by_bfs(g: Graph, W, max_len: int):
+    """Arrival paths into W of length <= max_len, by a breadth-first search
+    over every travel prefix, and whether no prefix of length max_len
+    avoids W."""
+    W = frozenset(W)
+    results = [g.vertex_path(w) for w in sorted(W)]
+    frontier = [g.vertex_path(v) for v in g.vertices if v not in W]
+    length = 0
+    while frontier and length < max_len:
+        nxt = []
+        for p in frontier:
+            for e in g.out_edges(p.end):
+                q = g.extend(p, e)
+                if e.dst in W:
+                    results.append(q)
+                else:
+                    nxt.append(q)
+        frontier = nxt
+        length += 1
+    return results, not frontier
+
+
+def arrival_idempotent_by_bfs(alg: LeavittAlgebra, W, K):
+    """e(W) from every arrival path shorter than ceil(K(2|V| + 1)/2),
+    filtered by ``order_of``; exact iff the search saw every arrival path
+    and none had order >= K."""
+    K = as_order(K)
+    g = alg.graph
+    cutoff = math.ceil(K * (2 * len(g.vertices) + 1) / 2)
+    paths, complete = arrival_enumeration_by_bfs(g, W, cutoff)
+    kept = {}
+    dropped = False
+    for p in paths:
+        m = Monomial(p, p)
+        if order_of(alg.special, m) < K:
+            kept[m] = alg.field.one
+        else:
+            dropped = True
+    body = alg.element(kept)
+    if complete and not dropped:
+        return exact(body)
+    return truncate(body, K)
+
+
+def conjugation_step_by_normal_form(alg: LeavittAlgebra, W, vec, Kw) -> dict:
+    """The recovery operator with every wrapped sum put through
+    ``alg.element``'s normal-form pass."""
+    g = alg.graph
+    out = {}
+    for w in sorted(W):
+        raw = {}
+        prec = Kw
+        for left in walk_branches(alg.special, w, Kw):
+            x = vec[left.end]
+            prec = min(prec, x.prec)
+            wrapped = (
+                (Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
+                for m, c in x.body.terms.items()
+            )
+            add_terms(raw, wrapped, alg.field.zero)
+        out[w] = truncate(alg.element(raw), prec)
+    return out
 
 
 def is_prime_by_trial_division(p: int) -> bool:

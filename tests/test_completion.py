@@ -1,12 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leavitt import (
     INF,
+    Graph,
     LeavittAlgebra,
     Monomial,
+    Path,
+    QQ,
+    PrimeField,
+    Specialization,
     arrival_idempotent,
     arrival_paths,
     construct_regular,
@@ -21,7 +29,17 @@ from leavitt import (
     vertex_idempotent,
 )
 
-from conftest import load_graph
+from leavitt.completion import _special_depth
+from leavitt.filtration import order_of
+
+from conftest import (
+    arrival_enumeration_by_bfs,
+    arrival_idempotent_by_bfs,
+    hereditary_sets_bruteforce,
+    load_graph,
+    random_graph,
+    random_specialization,
+)
 
 
 def test_truncate_examples(alg_a):
@@ -93,12 +111,142 @@ def test_arrival_paths_examples():
 
 
 def test_arrival_suffix_bound(gamma_b, gamma_a):
-    # the special suffix of an arrival path never exceeds |V|, which is what
-    # makes the arrival sums converge
+    # the special suffix of an arrival path is a special walk ending on
+    # entering W, so it never exceeds D, the longest such walk, and D <= |V \ W|;
+    # this is what makes the arrival sums converge and the pruning sound
     g = gamma_b.graph
     for gamma in (gamma_a, gamma_b):
+        depth = _special_depth(gamma, frozenset({"w"}))
+        assert depth <= len(set(g.vertices) - {"w"})
         for p in arrival_paths(g, {"w"}, 30):
-            assert gamma.special_suffix(p) <= len(g.vertices)
+            assert gamma.special_suffix(p) <= depth
+    assert _special_depth(gamma_a, frozenset({"w"})) == 0  # v's walk loops on e
+    assert _special_depth(gamma_b, frozenset({"w"})) == 1
+
+
+def _bfs_prefixes(g, W, max_len: int, limit: int) -> int:
+    """How many travel prefixes the breadth-first oracle builds, counted
+    without building them; stops counting past ``limit``."""
+    counts = {v: 1 for v in g.vertices if v not in W}
+    total = len(counts)
+    for _ in range(max_len):
+        if total > limit or not counts:
+            break
+        nxt: dict = {}
+        for v, c in counts.items():
+            for e in g.out_edges(v):
+                if e.dst not in W:
+                    nxt[e.dst] = nxt.get(e.dst, 0) + c
+        counts = nxt
+        total += sum(counts.values())
+    return total
+
+
+ORACLE_LEVELS = (0, Fraction(1, 2), 1, 2, Fraction(7, 3), 3, 5)
+
+
+def test_arrival_idempotent_matches_bfs_oracle():
+    # the pruned search equals the breadth-first enumerate-then-filter it
+    # replaced, in body and in precision, over random graphs, both kinds of
+    # specialization, every hereditary set and levels including 0 and
+    # fractions; cases whose oracle would build many prefixes are skipped
+    rng = random.Random(2024)
+    compared = exact_cases = 0
+    for i in range(50):
+        g = random_graph(rng, max_vertices=6)
+        specs = [random_specialization(rng, g), construct_regular(g)]
+        fields = (QQ, PrimeField(7)) if i % 4 == 0 else (QQ,)
+        for W in hereditary_sets_bruteforce(g):
+            for K in ORACLE_LEVELS:
+                cutoff = math.ceil(K * (2 * len(g.vertices) + 1) / 2)
+                if _bfs_prefixes(g, W, cutoff, 400) > 400:
+                    continue
+                for special in specs:
+                    for field in fields:
+                        alg = LeavittAlgebra(special, field)
+                        got = arrival_idempotent(alg, W, K)
+                        want = arrival_idempotent_by_bfs(alg, W, K)
+                        assert (got.body, got.prec) == (want.body, want.prec), (g, special, W, K)
+                        compared += 1
+                        exact_cases += got.is_exact
+    assert compared > 4000 and 0 < exact_cases < compared, (compared, exact_cases)
+
+
+def test_arrival_paths_match_bfs_oracle():
+    rng = random.Random(7)
+    for _ in range(80):
+        g = random_graph(rng, max_vertices=6)
+        for W in hereditary_sets_bruteforce(g):
+            for max_len in (-1, 0, 1, 2, 4, 6):
+                if _bfs_prefixes(g, W, max_len, 2000) > 2000:
+                    continue
+                want, _ = arrival_enumeration_by_bfs(g, W, max_len)
+                assert arrival_paths(g, W, max_len) == sorted(want, key=Path.sort_key)
+
+
+def test_arrival_idempotent_inexact_when_loops_cannot_reach_W():
+    # v1 and v2 carry loops but no path to the sink v0: the only arrival
+    # path is v0 itself, yet paths of every length avoid W, so the value is
+    # not certified exact
+    g = Graph(["v0", "v1", "v2"], [("a", "v1", "v1"), ("b", "v2", "v2"), ("c", "v1", "v2")])
+    alg = LeavittAlgebra(construct_regular(g))
+    got = arrival_idempotent(alg, {"v0"}, 1)
+    assert got.render() == "v0 + O(V_1)"
+    want = arrival_idempotent_by_bfs(alg, {"v0"}, 1)
+    assert (got.body, got.prec) == (want.body, want.prec)
+
+
+def test_arrival_terms_kept_on_chain_to_rose(monkeypatch):
+    # the chain c0 -> c1 -> c2 -> r with a loop at each c_i and two petals
+    # at r keeps 274, 1,736 and 13,076 arrival terms into {r} at working
+    # precisions 7, 14 and 28, all passed through alg.element at once
+    vertices = ["c0", "c1", "c2", "r"]
+    edges = [("p0", "r", "r"), ("p1", "r", "r")]
+    for i in range(3):
+        edges += [(f"l{i}", vertices[i], vertices[i]), (f"f{i}", vertices[i], vertices[i + 1])]
+    alg = LeavittAlgebra(construct_regular(Graph(vertices, edges)))
+    sizes = []
+    element = LeavittAlgebra.element
+
+    def counting(self, terms):
+        sizes.append(len(terms))
+        return element(self, terms)
+
+    monkeypatch.setattr(LeavittAlgebra, "element", counting)
+    for Kw in (7, 14, 28):
+        e = arrival_idempotent(alg, {"r"}, Kw)
+        assert e.prec == Kw and e.body == parse(alg, "c0 + c1 + c2 + r")
+    assert sizes == [274, 1736, 13076]
+
+
+@settings(max_examples=80, deadline=2000, derandomize=True, database=None)
+@given(st.data())
+def test_pruned_search_matches_brute_force(data):
+    # every path up to the old cutoff, built by Graph.paths_from and filtered
+    # by definition, gives the same e(W) as the pruned search
+    n = data.draw(st.integers(1, 4), label="vertices")
+    verts = [f"v{i}" for i in range(n)]
+    edges = []
+    for v in verts:
+        for dst in data.draw(st.lists(st.sampled_from(verts), max_size=2), label=f"out {v}"):
+            edges.append((f"e{len(edges)}", v, dst))
+    g = Graph(verts, edges)
+    mapping = {v: data.draw(st.sampled_from([e.name for e in g.out_edges(v)]), label=f"special {v}")
+               for v in verts if g.out_edges(v)}
+    alg = LeavittAlgebra(Specialization(g, mapping))
+    W = data.draw(st.sampled_from(hereditary_sets_bruteforce(g)), label="W")
+    K = data.draw(st.fractions(0, 2, max_denominator=3), label="K")
+
+    cutoff = math.ceil(K * (2 * n + 1) / 2)
+    travel = [p for v in verts for p in g.paths_from(v, cutoff)
+              if not any(g.edge(name).src in W for name in p.edges)]
+    arrivals = [p for p in travel if p.end in W]
+    avoiding = [p for p in travel if p.end not in W and len(p) == cutoff]
+    kept = [p for p in arrivals if order_of(alg.special, Monomial(p, p)) < K]
+    body = alg.element({Monomial(p, p): 1 for p in kept})
+    want = exact(body) if not avoiding and kept == arrivals else truncate(body, K)
+    got = arrival_idempotent(alg, W, K)
+    assert (got.body, got.prec) == (want.body, want.prec)
 
 
 def test_arrival_idempotent_examples(alg_a, alg_b):

@@ -15,10 +15,18 @@ from leavitt import (
     decompose,
     monomial_in_ideal,
     run_suite,
+    vertex_idempotent,
     vertex_recovery,
 )
+from leavitt.structure import _conjugation_step
 
-from conftest import CORPUS, load_graph
+from conftest import (
+    CORPUS,
+    conjugation_step_by_normal_form,
+    load_graph,
+    random_graph,
+    random_specialization,
+)
 
 
 def corpus_algebra(name):
@@ -92,6 +100,33 @@ def test_vertex_recovery_examples():
     assert refused.status == "refused" and "lone sink" in refused.note
     refused = vertex_recovery(y, "a", 4)
     assert refused.status == "refused" and "no minimal hereditary" in refused.note
+
+
+def test_conjugation_step_needs_no_normal_form():
+    # wrapping basic monomials in walk(k) f with f non-special keeps them
+    # basic, so the recovery operator's terms equal their normal form; the
+    # vectors iterate the operator from the vertex idempotents, as
+    # vertex_recovery does, on the corpus and on seeded random graphs
+    rng = random.Random(31)
+    algebras = [corpus_algebra(name) for name in CORPUS]
+    for _ in range(60):
+        g = random_graph(rng, max_vertices=6)
+        algebras += [LeavittAlgebra(random_specialization(rng, g)),
+                     LeavittAlgebra(construct_regular(g))]
+    steps = 0
+    for alg in algebras:
+        for W in alg.graph.frame():
+            Kw = 7
+            vec = {u: vertex_idempotent(alg, u, Kw) for u in sorted(W)}
+            for _ in range(3):
+                got = _conjugation_step(alg, W, vec, Kw)
+                want = conjugation_step_by_normal_form(alg, W, vec, Kw)
+                assert {w: (t.body, t.prec) for w, t in got.items()} == {
+                    w: (t.body, t.prec) for w, t in want.items()}
+                assert all(alg.is_basic(m) for t in got.values() for m in t.body.terms)
+                steps += any(t.body.terms for t in got.values())
+                vec = got
+    assert steps > 100, steps
 
 
 def test_vertex_recovery_requires_frame_finite(alg_a):
