@@ -9,7 +9,6 @@ from .algebra import Element, LeavittAlgebra, Monomial, monomial_product
 from .completion import (
     TruncatedElement,
     arrival_idempotent,
-    arrival_paths,
     equal_mod,
     exact,
     trunc_add,
@@ -31,7 +30,6 @@ from .structure import (
     check_partition,
     check_vertex_idempotent_laws,
     decompose,
-    monomial_in_ideal,
     run_suite,
     vertex_recovery,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "monomial_product",
     "TruncatedElement",
     "arrival_idempotent",
-    "arrival_paths",
     "equal_mod",
     "exact",
     "trunc_add",
@@ -79,7 +76,6 @@ __all__ = [
     "check_partition",
     "check_vertex_idempotent_laws",
     "decompose",
-    "monomial_in_ideal",
     "run_suite",
     "vertex_recovery",
 ]

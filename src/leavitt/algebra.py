@@ -274,13 +274,6 @@ class Element:
         """The involution: swaps each monomial's paths, fixes coefficients."""
         return Element(self.algebra, {m.star(): c for m, c in self.terms.items()})
 
-    def degree_split(self) -> dict[int, "Element"]:
-        """Split into homogeneous parts by degree l(p) - l(q)."""
-        parts: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(m.degree, {})[m] = c
-        return {d: Element(self.algebra, t) for d, t in sorted(parts.items())}
-
     def __str__(self):
         from .expr import render
 

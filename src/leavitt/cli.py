@@ -42,17 +42,16 @@ _SUITE_HELP = (
 
 
 def _parse_prec(text: str) -> Fraction:
+    """A nonnegative level written as digit runs: ``a`` or ``a/b``."""
+    parts = text.split("/", 1)
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(text))
+        if not all(part.isdecimal() for part in parts):
+            raise ValueError
+        return Fraction(*map(int, parts))
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad precision {text!r} (want an integer or a/b)") from None
-    if value < 0:
-        raise ValueError("precision must be nonnegative")
-    return value
+        raise ValueError(
+            f"bad precision {text!r} (want a nonnegative integer or a/b)"
+        ) from None
 
 
 def _add_common(sub, prec=False):

@@ -43,15 +43,6 @@ class TruncatedElement:
     def is_exact(self) -> bool:
         return self.prec == INF
 
-    def __add__(self, other):
-        return trunc_add(self, other)
-
-    def __sub__(self, other):
-        return trunc_add(self, _neg(other))
-
-    def __mul__(self, other):
-        return trunc_mul(self, other)
-
     def render(self) -> str:
         from .expr import render
 
@@ -64,35 +55,23 @@ class TruncatedElement:
         return f"<{self.render()}>"
 
 
-def _drop_high_order(a: Element, prec: Order) -> Element:
-    if prec == INF:
-        return a
-    special = a.algebra.special
-    kept = {m: c for m, c in a.terms.items() if order_of(special, m) < prec}
-    if len(kept) == len(a.terms):
-        return a
-    return Element(a.algebra, kept)
-
-
-def _make(body: Element, prec: Order) -> TruncatedElement:
-    return TruncatedElement(_drop_high_order(body, prec), prec)
-
-
 def exact(a: Element) -> TruncatedElement:
     return TruncatedElement(a, INF)
 
 
-def _neg(a: TruncatedElement) -> TruncatedElement:
-    return TruncatedElement(-a.body, a.prec)
-
-
 def truncate(a: Element, K) -> TruncatedElement:
     """Forget the part of a normal-form element of order >= K."""
-    return _make(a, as_order(K))
+    K = as_order(K)
+    if K != INF:
+        special = a.algebra.special
+        kept = {m: c for m, c in a.terms.items() if order_of(special, m) < K}
+        if len(kept) < len(a.terms):
+            a = Element(a.algebra, kept)
+    return TruncatedElement(a, K)
 
 
 def trunc_add(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
-    return _make(a.body + b.body, min(a.prec, b.prec))
+    return truncate(a.body + b.body, min(a.prec, b.prec))
 
 
 def _minus_slack(k: Order) -> Order:
@@ -115,7 +94,7 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     lo = min(a.prec, b.prec)
     bounds.append(INF if lo == INF else Fraction(lo - 1, 2))
     prec = _minus_slack(min(bounds))
-    return _make(body, prec)
+    return truncate(body, prec)
 
 
 def equal_mod(a: TruncatedElement, b: TruncatedElement, K) -> bool:
@@ -154,7 +133,7 @@ def _special_depth(special: Specialization, W: frozenset) -> int:
     )
 
 
-def _arrivals(g: Graph, W: frozenset, special_edges, K: Fraction, D: int):
+def _arrivals(special: Specialization, W: frozenset, K: Fraction):
     """The arrival paths into W of order < K, and whether any was left out.
 
     An arrival path p of length l whose last s edges are special (and
@@ -164,15 +143,15 @@ def _arrivals(g: Graph, W: frozenset, special_edges, K: Fraction, D: int):
     that reach W, carrying l and s as integers.  A travel prefix of length
     L at u is pruned once 2(L + dist(u, W)) * K.den >= K.num * (2D + 1):
     each arrival path through it has length >= L + dist(u, W) and special
-    suffix <= D, so order >= K.  ``D`` must bound the special suffix of
-    every arrival path.  The flag is set when an arrival path failed the
-    order test or a prefix was pruned.
+    suffix <= D, the ``_special_depth`` of W, so order >= K.  The flag is
+    set when an arrival path failed the order test or a prefix was pruned.
     """
+    g = special.graph
     num, den = K.numerator, K.denominator
-    budget = num * (2 * D + 1)
+    budget = num * (2 * _special_depth(special, W) + 1)
     dist = g.distances_to(W)
     steps = {
-        u: [(e.name, e.dst, e.name in special_edges, dist[e.dst])
+        u: [(e.name, e.dst, special.is_special(e.name), dist[e.dst])
             for e in g.out_edges(u) if e.dst in dist]
         for u in dist if u not in W
     }
@@ -192,9 +171,9 @@ def _arrivals(g: Graph, W: frozenset, special_edges, K: Fraction, D: int):
                 if names:
                     names.pop()
                 continue
-            name, dst, special, d = step
+            name, dst, on_special, d = step
             length = len(stack)
-            s = run + 1 if special else 0
+            s = run + 1 if on_special else 0
             if not d:
                 if 2 * length * den < num * (2 * s + 1):
                     found.append(Path(v, (*names, name), dst))
@@ -224,22 +203,6 @@ def _outside_path_reaches(g: Graph, W: frozenset, n: int) -> bool:
     return bool(longest) and max(longest.values()) >= n
 
 
-def arrival_paths(g: Graph, W, max_len: int) -> list[Path]:
-    """All paths of length <= max_len whose first vertex in W is the range.
-
-    Every vertex of W counts, as a zero-length path.  W must be nonempty.
-    """
-    W = frozenset(W)
-    if not W:
-        raise ValueError("arrival paths need a nonempty target set")
-    for w in W:
-        g.check_vertex(w)
-    # Counting no edge as special, a path of length l has order 2l, which
-    # is below 2 max_len + 1 iff l <= max_len.
-    paths, _ = _arrivals(g, W, frozenset(), Fraction(2 * max(max_len, 0) + 1), 0)
-    return sorted(paths, key=Path.sort_key)
-
-
 def _enumeration_cutoff(g: Graph, K: Fraction) -> int:
     # An arrival path of order < K has 2l < K(2s + 1) with special suffix
     # s <= D <= |V| - 1, so it is shorter than K(2|V| + 1)/2.  The search
@@ -254,7 +217,7 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
     """The sum of p p* over arrival paths in the hereditary set W.
 
     Keeps exactly the terms of order < K, found by the pruned search of
-    ``_arrivals`` with D the longest special walk into W, at precision K.
+    ``_arrivals``, at precision K.
     The value is exact iff no path of length ``_enumeration_cutoff`` avoids
     W and the search left no arrival path out: none failed the order test
     and no prefix that can reach W was pruned.
@@ -266,12 +229,11 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
         raise ValueError(f"{sorted(W)} is not hereditary")
     if K == INF:
         raise ValueError("arrival idempotents need a finite working precision")
-    special = alg.special
-    paths, dropped = _arrivals(g, W, special.special_edges, K, _special_depth(special, W))
+    paths, dropped = _arrivals(alg.special, W, K)
     one = alg.field.one
     body = alg.element({Monomial(p, p): one for p in paths})
     if dropped or _outside_path_reaches(g, W, _enumeration_cutoff(g, K)):
-        return _make(body, K)
+        return truncate(body, K)
     return exact(body)
 
 
@@ -318,4 +280,4 @@ def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
     body = alg.element(terms)
     if reaches_sink:
         return exact(body)
-    return _make(body, K)
+    return truncate(body, K)

@@ -159,6 +159,8 @@ def parse_field(text: str):
         return QQ
     if text.startswith("fp:"):
         try:
+            if not text[3:].isdecimal():
+                raise ValueError
             p = int(text[3:])
         except ValueError:
             raise ValueError(f"bad prime field spec {text!r}") from None

@@ -10,7 +10,8 @@ The JSON file format is::
      "edges": [{"name": "e", "src": "v", "dst": "v"},
                {"name": "f", "src": "v", "dst": "w"}]}
 
-Unknown keys are rejected, names must match ``[A-Za-z][A-Za-z0-9_]*``, and
+Unknown keys are rejected.  Every graph, read from a file or built in
+Python, must name its vertices and edges by ``[A-Za-z][A-Za-z0-9_]*``, and
 vertex and edge names may not collide (expression parsing resolves both in
 one namespace).
 """
@@ -42,10 +43,6 @@ class Path:
     def __len__(self):
         return len(self.edges)
 
-    @property
-    def is_vertex(self) -> bool:
-        return not self.edges
-
     def sort_key(self):
         return (len(self.edges), self.edges, self.start)
 
@@ -64,12 +61,19 @@ class Graph:
 
     def __init__(self, vertices, edges):
         verts = list(vertices)
+        for v in verts:
+            if not isinstance(v, str) or not NAME_RE.match(v):
+                raise ValueError(f"bad vertex name {v!r}")
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertex name")
         edge_list = []
         for e in edges:
             if not isinstance(e, Edge):
                 e = Edge(*e)
+            if not isinstance(e.name, str) or not NAME_RE.match(e.name):
+                raise ValueError(f"bad edge name {e.name!r}")
+            if not isinstance(e.src, str) or not isinstance(e.dst, str):
+                raise ValueError(f"edge {e.name!r} needs vertex names as its src and dst")
             edge_list.append(e)
         names = [e.name for e in edge_list]
         if len(set(names)) != len(names):
@@ -78,9 +82,6 @@ class Graph:
         if vert_set & set(names):
             clash = sorted(vert_set & set(names))[0]
             raise ValueError(f"name {clash!r} used for both a vertex and an edge")
-        for name in list(verts) + names:
-            if not isinstance(name, str) or not name:
-                raise ValueError("names must be nonempty strings")
         for e in edge_list:
             if e.src not in vert_set or e.dst not in vert_set:
                 raise ValueError(f"edge {e.name!r} uses an undeclared vertex")
@@ -259,40 +260,6 @@ class Graph:
             v for v in self._vertices if not (self._descendants[v] & W)
         )
 
-    # -- quotient --------------------------------------------------------
-
-    def collapse(self, W) -> "Graph":
-        """Collapse the nonempty proper subset W to a fresh sink.
-
-        Edges inside the complement are kept; edges entering W are
-        redirected to the fresh sink under a primed name; edges leaving W
-        are dropped.  The fresh sink is ``w#``, with more ``#`` while taken.
-        """
-        W = self._check_vertex_subset(W)
-        if not W:
-            raise ValueError("cannot collapse the empty set")
-        if W == set(self._vertices):
-            raise ValueError("cannot collapse the entire vertex set")
-        fresh = "w#"
-        taken = set(self._vertices) | set(self._edge_by_name)
-        while fresh in taken:
-            fresh += "#"
-        verts = [v for v in self._vertices if v not in W] + [fresh]
-        used = set(self._edge_by_name)
-        edges = []
-        for e in self._edges:
-            if e.src in W:
-                continue
-            if e.dst in W:
-                name = e.name + "'"
-                while name in used:
-                    name += "'"
-                used.add(name)
-                edges.append(Edge(name, e.src, fresh))
-            else:
-                edges.append(e)
-        return Graph(verts, edges)
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -315,9 +282,6 @@ class Graph:
         verts = data["vertices"]
         if not isinstance(verts, list):
             raise ValueError("'vertices' must be a list")
-        for v in verts:
-            if not isinstance(v, str) or not NAME_RE.match(v):
-                raise ValueError(f"bad vertex name {v!r}")
         edges = []
         if not isinstance(data["edges"], list):
             raise ValueError("'edges' must be a list")
@@ -328,14 +292,9 @@ class Graph:
             if extra:
                 raise ValueError(f"unknown keys in edge: {sorted(extra)}")
             try:
-                name, src, dst = item["name"], item["src"], item["dst"]
+                edges.append(Edge(item["name"], item["src"], item["dst"]))
             except KeyError as k:
                 raise ValueError(f"edge missing key {k}") from None
-            if not isinstance(name, str) or not NAME_RE.match(name):
-                raise ValueError(f"bad edge name {name!r}")
-            if not isinstance(src, str) or not isinstance(dst, str):
-                raise ValueError(f"edge {name!r} needs vertex names as its src and dst")
-            edges.append(Edge(name, src, dst))
         return cls(verts, edges)
 
     @classmethod

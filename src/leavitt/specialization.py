@@ -162,7 +162,12 @@ class Specialization:
             raise ValueError(f"unknown keys in specialization file: {sorted(extra)}")
         if "gamma" not in data or not isinstance(data["gamma"], dict):
             raise ValueError("specialization file needs a 'gamma' object")
-        return cls(graph, {str(v): str(e) for v, e in data["gamma"].items()})
+        for v, e in data["gamma"].items():
+            if not isinstance(v, str) or not isinstance(e, str):
+                raise ValueError(
+                    f"gamma must map vertex names to edge names, not {v!r} to {e!r}"
+                )
+        return cls(graph, data["gamma"])
 
     @classmethod
     def load(cls, graph: Graph, path) -> "Specialization":

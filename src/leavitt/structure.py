@@ -87,22 +87,21 @@ def _require_finite(K) -> Fraction:
     return K
 
 
-def _escalated(requested: Fraction, attempt):
-    """Recompute ``attempt(Kw)`` at doubling working precision until the
-    achieved precision it reports covers the requested level; returns the
-    payload of that attempt."""
-    Kw = 2 * requested + 3
-    for _ in range(24):
-        achieved, payload = attempt(Kw)
-        if achieved >= requested:
-            return payload
-        Kw *= 2
-    raise RuntimeError("working-precision escalation failed to converge")
-
-
 def _achieved_of(pairs) -> Order:
     levels = [min(lhs.prec, rhs.prec) for lhs, rhs, _ in pairs]
     return min(levels) if levels else INF
+
+
+def _escalated(requested: Fraction, pairs_at):
+    """The (lhs, rhs, label) pairs ``pairs_at(Kw)`` at the first of the
+    doubling working precisions Kw whose pairs certify the requested level."""
+    Kw = 2 * requested + 3
+    for _ in range(24):
+        pairs = pairs_at(Kw)
+        if _achieved_of(pairs) >= requested:
+            return pairs
+        Kw *= 2
+    raise RuntimeError("working-precision escalation failed to converge")
 
 
 def _judge(name: str, K: Fraction, pairs, sampled=False, note=None) -> Verdict:
@@ -123,13 +122,8 @@ def _judge(name: str, K: Fraction, pairs, sampled=False, note=None) -> Verdict:
 
 
 def _certify(name: str, K: Fraction, pairs_at, sampled=False, note=None) -> Verdict:
-    """Judge the (lhs, rhs, label) pairs ``pairs_at(Kw)`` at the first Kw that certifies K."""
-
-    def attempt(Kw):
-        pairs = pairs_at(Kw)
-        return _achieved_of(pairs), pairs
-
-    return _judge(name, K, _escalated(K, attempt), sampled, note)
+    """Judge the pairs ``pairs_at(Kw)`` at the first Kw that certifies K."""
+    return _judge(name, K, _escalated(K, pairs_at), sampled, note)
 
 
 def _refuse_not_hereditary(alg: LeavittAlgebra, name: str, K, W, label=None) -> Verdict | None:
@@ -283,16 +277,15 @@ def check_vertex_idempotent_laws(alg: LeavittAlgebra, K) -> list[Verdict]:
     special = alg.special
     zero = exact(alg.zero())
 
-    def idem_attempt(Kw):
+    def idem_pairs(Kw):
         ev = _vertex_idempotents_at(alg, Kw)
-        pairs = [(trunc_mul(ev[v], ev[v]), ev[v], f"e_{v}^2 = e_{v}") for v in g.vertices]
-        return _achieved_of(pairs), (ev, pairs)
+        return [(trunc_mul(ev[v], ev[v]), ev[v], f"e_{v}^2 = e_{v}") for v in g.vertices]
 
-    ev, pairs = _escalated(K, idem_attempt)
+    pairs = _escalated(K, idem_pairs)
     verdict = _judge("vertex-idempotent", K, pairs)
     if verdict.status == PASS:
-        for v in g.vertices:
-            coeff = ev[v].body.coefficient(Monomial(g.vertex_path(v), g.vertex_path(v)))
+        for v, (_, ev, _) in zip(g.vertices, pairs):
+            coeff = ev.body.coefficient(Monomial(g.vertex_path(v), g.vertex_path(v)))
             if coeff != alg.field.one:
                 verdict = Verdict(
                     "vertex-idempotent", FAIL, K, verdict.achieved,
@@ -463,11 +456,6 @@ def vertex_recovery(alg: LeavittAlgebra, w: str, K) -> Verdict:
 # -- decomposition ------------------------------------------------------------
 
 
-def monomial_in_ideal(m: Monomial, W) -> bool:
-    """Basis monomials p q* lie in the closed ideal of W iff r(p) is in W."""
-    return m.left.end in frozenset(W)
-
-
 @dataclass
 class DecompositionReport:
     frame: list[frozenset]
@@ -525,26 +513,27 @@ def decompose(alg: LeavittAlgebra, K) -> DecompositionReport:
             bad = f"component {format_vertex_set(S)} meets {len(hits)} frame members"
     checks.append(Verdict("component-frame-match", FAIL if bad else PASS, witness=bad))
 
-    def attempt(Kw):
-        es = {W: arrival_idempotent(alg, W, Kw) for W in frame}
+    es: dict[frozenset, TruncatedElement] = {}  # from the attempt that certifies
+
+    def pairs_at(Kw):
+        es.update((W, arrival_idempotent(alg, W, Kw)) for W in frame)
         total = exact(alg.zero())
         for W in frame:
             total = trunc_add(total, es[W])
-        unity = [(total, exact(alg.one()), "sum of e(W_i) = 1")]
+        pairs = [(total, exact(alg.one()), "sum of e(W_i) = 1")]
         zero = exact(alg.zero())
-        orth = []
         for i, Wi in enumerate(frame):
             for Wj in frame[i + 1:]:
                 for A, B in ((Wi, Wj), (Wj, Wi)):
-                    orth.append(
+                    pairs.append(
                         (trunc_mul(es[A], es[B]), zero,
                          f"e({format_vertex_set(A)}) e({format_vertex_set(B)}) = 0")
                     )
-        return _achieved_of(unity + orth), (es, unity, orth)
+        return pairs
 
-    es, unity, orth = _escalated(K, attempt)
-    checks.append(_judge("partition-of-unity", K, unity))
-    checks.append(_judge("orthogonality", K, orth))
+    pairs = _escalated(K, pairs_at)
+    checks.append(_judge("partition-of-unity", K, pairs[:1]))
+    checks.append(_judge("orthogonality", K, pairs[1:]))
 
     if report.regular:
         ok = len(comps) == len(frame)

@@ -137,6 +137,19 @@ def test_exit_codes(monkeypatch, tmp_path):
          "--prec", "-3", "--suite", "all"]
     )
     assert code == 2
+    # numbers are digit runs: no underscores, signs or surrounding blanks
+    for prec in ("1_0", " +3", "+3", "3 ", "1/2_0", "1/-2", "1/0", "1/2/3", ""):
+        code, _ = invoke(
+            ["ev", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
+             "--vertex", "v", "--prec", prec]
+        )
+        assert code == 2, prec
+    for field in ("fp:1_000_003", "fp: 5", "fp:+5", "fp:"):
+        code, _ = invoke(
+            ["nf", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
+             "--field", field, "v"]
+        )
+        assert code == 2, field
 
 
 def test_mul_and_ord(monkeypatch):
@@ -223,9 +236,21 @@ def test_escalation_and_memory_errors_exit_2(monkeypatch, capsys):
     def uncertified(alg, W, Kw):  # certifies nothing, so escalation cannot converge
         return truncate(alg.zero(), 0)
 
-    monkeypatch.setattr(structure, "arrival_idempotent", uncertified)
-    assert cli.run(argv) == 2
-    assert capsys.readouterr().err == "error: working-precision escalation failed to converge\n"
+    # every way a check escalates: a central-idempotent check, the
+    # decomposition's partition and orthogonality, and the vertex laws
+    cases = [
+        ("arrival_idempotent", argv),
+        ("arrival_idempotent",
+         ["decompose", "--graph", "data/y.json", "--auto-regular", "--prec", "4"]),
+        ("vertex_idempotent", [*argv, "--suite", "lemma19"]),
+    ]
+    for name, args in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(structure, name, uncertified)
+            assert cli.run(args) == 2, args
+        assert capsys.readouterr().err == (
+            "error: working-precision escalation failed to converge\n"
+        ), args
 
     def exhausted(alg, W, Kw):
         raise MemoryError

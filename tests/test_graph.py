@@ -124,55 +124,13 @@ def test_hereditary_complement_properties():
             assert Wpp == expected
 
 
-def test_collapse_y():
-    g = load_graph("y")
-    c = g.collapse({"b", "c"})
-    assert set(c.vertices) == {"a", "w#"}
-    assert [(e.name, e.src, e.dst) for e in c.edges] == [
-        ("e'", "a", "w#"),
-        ("f'", "a", "w#"),
-    ]
-    assert c.is_sink("w#")
-
-
-def test_collapse_twocycle():
-    g = load_graph("twocycle")
-    c = g.collapse({"b"})
-    assert set(c.vertices) == {"a", "w#"}
-    assert [(e.name, e.src, e.dst) for e in c.edges] == [("x'", "a", "w#")]
-
-
-def test_collapse_toeplitz():
-    g = load_graph("toeplitz")
-    c = g.collapse({"w"})
-    assert set(c.vertices) == {"v", "w#"}
-    assert [(e.name, e.src, e.dst) for e in c.edges] == [
-        ("e", "v", "v"),
-        ("f'", "v", "w#"),
-    ]
-
-
-def test_collapse_rejects_bad_sets():
-    g = load_graph("toeplitz")
-    with pytest.raises(ValueError):
-        g.collapse(set())
-    with pytest.raises(ValueError):
-        g.collapse({"v", "w"})
-
-
-def test_collapse_fresh_name_avoids_collisions():
-    g = Graph(["a", "b", "w"], [("e", "a", "b")])
-    c = g.collapse({"b"})
-    assert "w#" in c.vertices
-
-
 def test_paths():
     g = load_graph("toeplitz")
     p = g.path("v", ("e", "e", "f"))
     assert p.start == "v" and p.end == "w" and len(p) == 3
     with pytest.raises(ValueError, match="does not start"):
         g.path("w", ("e",))
-    assert g.vertex_path("w").is_vertex
+    assert g.vertex_path("w").edges == ()
 
 
 def test_json_round_trip():
@@ -204,6 +162,15 @@ def test_json_rejects_bad_names():
             Graph.from_json(
                 {"vertices": ["v"], "edges": [{"name": "e", "src": src, "dst": dst}]}
             )
+    # the rule holds for graphs built in Python too: render must round-trip
+    with pytest.raises(ValueError, match="bad vertex name"):
+        Graph(["v w", "x"], [("e", "x", "x")])
+    with pytest.raises(ValueError, match="bad vertex name"):
+        Graph([""], [])
+    with pytest.raises(ValueError, match="bad edge name"):
+        Graph(["v", "x"], [("e*", "v", "x")])
+    with pytest.raises(ValueError, match="needs vertex names"):
+        Graph(["v"], [("e", ["v"], "v")])
 
 
 def test_graph_rejects_duplicates_and_collisions():

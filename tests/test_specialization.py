@@ -223,3 +223,6 @@ def test_json_round_trip(gamma_b, toeplitz):
     assert Specialization.from_json(toeplitz, data) == gamma_b
     with pytest.raises(ValueError, match="unknown keys"):
         Specialization.from_json(toeplitz, {"gamma": {}, "x": 1})
+    for gamma in ({"v": None}, {"v": 1}, {"v": ["e"]}):
+        with pytest.raises(ValueError, match="vertex names to edge names"):
+            Specialization.from_json(toeplitz, {"gamma": gamma})

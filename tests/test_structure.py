@@ -4,7 +4,6 @@ import pytest
 
 from leavitt import (
     LeavittAlgebra,
-    Monomial,
     Specialization,
     check_central_idempotent,
     check_collapse,
@@ -13,7 +12,6 @@ from leavitt import (
     check_vertex_idempotent_laws,
     construct_regular,
     decompose,
-    monomial_in_ideal,
     run_suite,
     vertex_idempotent,
     vertex_recovery,
@@ -163,19 +161,6 @@ def test_decompose_loop_and_toeplitz(alg_b):
 def test_decompose_rejects_non_frame_finite(alg_a):
     with pytest.raises(ValueError, match="not frame-finite"):
         decompose(alg_a, 4)
-
-
-def test_ideal_membership(alg_b):
-    g = alg_b.graph
-    m = Monomial(g.path("v", ("e", "f")), g.path("v", ("f",)))
-    assert monomial_in_ideal(m, {"w"})
-    m2 = Monomial(g.path("v", ("e",)), g.vertex_path("v"))
-    assert not monomial_in_ideal(m2, {"w"})
-    # raw arrival terms p p* land in the ideal of their target set
-    from leavitt import arrival_paths
-
-    for p in arrival_paths(g, {"w"}, 6):
-        assert monomial_in_ideal(Monomial(p, p), {"w"})
 
 
 def test_components_walk_into_assigned_frame_member():
