@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import Element, LeavittAlgebra, Monomial
+from .algebra import Element, LeavittAlgebra, Monomial, add_terms
 from .filtration import INF, Order, as_order, format_order, min_order, order_of, product_precision
 from .graph import Graph, Path
 from .specialization import Specialization
@@ -237,47 +237,59 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
     return exact(body)
 
 
-def walk_branches(special: Specialization, v: str, K):
-    """The branch paths walk(k) f of the special walk from v.
+def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
+    """Entry w of the recovery operator C applied to the vector x.
 
-    walk(k) is the walk's first k steps and f a non-special edge at its
-    end; k runs while 2(k + 1) < K and the walk has not reached a sink.
-    The monomial (walk(k) f)(walk(k) f)* has order 2(k + 1).
+    C(x)_w collects walk(k) f x(r(f)) f* walk(k)* over the special walk
+    from w and the non-special edges f at the walk's k-th vertex, keeping
+    k while 2(k+1) < K; the walk also stops at a sink.  ``x(u)`` returns
+    the operand at u.  The conjugating edge f is never special, so
+    wrapping a monomial leaves its special suffix and degree alone while
+    adding 2(k+1) to its length: orders never drop, and the operand's
+    precision passes through undamaged.  Wrapping also keeps a basic
+    monomial basic: each side of the result ends in the last edge of that
+    side of the operand, or in f where that side is a vertex, and f is not
+    special.  The wrapped terms therefore need no normal-form pass.
     """
-    g = special.graph
-    for k, walk in enumerate(special.walk(v)):
+    g = alg.graph
+    special = alg.special
+    branches = []  # (walk(k) f, the operand at r(f))
+    for k, walk in enumerate(special.walk(w)):
         if 2 * (k + 1) >= K:
-            return
-        for f in g.out_edges(walk.end):
-            if not special.is_special(f.name):
-                yield g.extend(walk, f)
+            break
+        branches += [(g.extend(walk, f), x(f.dst)) for f in g.out_edges(walk.end)
+                     if not special.is_special(f.name)]
+    wrapped = (
+        (Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
+        for left, operand in branches
+        for m, c in operand.body.terms.items()
+    )
+    raw = add_terms({}, wrapped, alg.field.zero)
+    # dropped walk indices only shed order >= K
+    prec = min(min((operand.prec for _, operand in branches), default=INF), K)
+    return truncate(Element(alg, raw), prec)
 
 
 def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
-    """The limit idempotent of the special walk from v.
+    """The limit idempotent of the special walk from v: e_v = v - C(1)_v.
 
-    Equals v minus, for every step k of the walk and every non-special
-    edge f leaving the walk's k-th vertex, the monomial (walk f)(walk f)*.
-    Each such term has order 2(k + 1).  When the walk reaches a sink the
-    sum is finite and the value is exact; otherwise terms with order < K
-    are kept at precision K.
+    C(1)_v sums the monomials (walk(k) f)(walk(k) f)*, of order 2(k + 1),
+    over the branches of the walk.  When the walk reaches a sink the sum
+    is finite and the value is exact; otherwise terms with order < K are
+    kept at precision K.
     """
     K = as_order(K)
-    g = alg.graph
-    special = alg.special
-    reaches_sink = bool(special.orbit_vertices(v) & g.sinks())
+    reaches_sink = bool(alg.special.orbit_vertices(v) & alg.graph.sinks())
     if not reaches_sink and K == INF:
         raise ValueError(
             "vertex idempotents need a finite working precision unless the "
             "special walk reaches a sink"
         )
-
-    vp = g.vertex_path(v)
-    terms: dict[Monomial, object] = {Monomial(vp, vp): alg.field.one}
-    minus_one = -alg.field.one
-    for q in walk_branches(special, v, INF if reaches_sink else K):
-        terms[Monomial(q, q)] = minus_one
-    body = alg.element(terms)
     if reaches_sink:
-        return exact(body)
-    return truncate(body, K)
+        K = INF
+    # C is linear, so e_v = v + C(-1)_v.  The branch monomials have length
+    # >= 2 and v has order 0, so v merges into the body iff K > 0.
+    minus_one = {u: exact(-alg.vertex(u)) for u in alg.graph.vertices}
+    branches = conjugate(alg, minus_one.__getitem__, v, K).body.terms
+    head = alg.vertex(v).terms if K else {}
+    return TruncatedElement(Element(alg, {**head, **branches}), K)

@@ -143,7 +143,7 @@ class _Parser:
                 raise self.fail({"integer"})
             den = int(self.take().text)
             tok = self.tokens[self.pos - 1]
-            if den == 0:
+            if not self.algebra.field.coerce(den):
                 raise ParseError("zero denominator", tok.line, tok.col)
             return self.algebra.field.ratio(num, den)
         return self.algebra.field.coerce(num)

@@ -43,9 +43,6 @@ class Path:
     def __len__(self):
         return len(self.edges)
 
-    def sort_key(self):
-        return (len(self.edges), self.edges, self.start)
-
     def __str__(self):
         if not self.edges:
             return self.start
@@ -185,6 +182,8 @@ class Graph:
     def concat(self, p: Path, q: Path) -> Path:
         if p.end != q.start:
             raise ValueError("paths are not composable")
+        if not q.edges:
+            return p
         return Path(p.start, p.edges + q.edges, q.end)
 
     def paths_from(self, v: str, max_len: int) -> list[Path]:

@@ -16,17 +16,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, LeavittAlgebra, Monomial, add_terms
+from .algebra import LeavittAlgebra, Monomial
 from .completion import (
     TruncatedElement,
     arrival_idempotent,
+    conjugate,
     equal_mod,
     exact,
     trunc_add,
     trunc_mul,
     truncate,
     vertex_idempotent,
-    walk_branches,
 )
 from .filtration import INF, Order, as_order, format_order, min_order
 from .graph import format_vertex_set
@@ -386,44 +386,14 @@ def check_ideal_transfer(alg: LeavittAlgebra, K) -> list[Verdict]:
 # -- vertex recovery ----------------------------------------------------------
 
 
-def _conjugation_step(alg: LeavittAlgebra, W, vec, Kw) -> dict[str, TruncatedElement]:
-    """One application of the recovery operator to a vector over W.
-
-    Entry w collects walk(k) f x_{r(f)} f* walk(k)* over the special walk
-    from w and the non-special edges f at the walk's k-th vertex, keeping
-    k while 2(k+1) < Kw.  The conjugating edge f is never special, so
-    wrapping a monomial leaves its special suffix and degree alone while
-    adding 2(k+1) to its length: orders never drop, and the operand's
-    precision passes through undamaged.  Wrapping also keeps a basic
-    monomial basic: each side of the result ends in the last edge of that
-    side of the operand, or in f where that side is a vertex, and f is not
-    special.  The wrapped terms therefore need no normal-form pass.
-    """
-    g = alg.graph
-    out = {}
-    for w in sorted(W):
-        raw: dict[Monomial, object] = {}
-        zero = alg.field.zero
-        prec: Order = Kw  # dropped walk indices only shed order >= Kw
-        for left in walk_branches(alg.special, w, Kw):
-            x = vec[left.end]
-            prec = min(prec, x.prec)
-            wrapped = (
-                (Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
-                for m, c in x.body.terms.items()
-            )
-            add_terms(raw, wrapped, zero)
-        out[w] = truncate(Element(alg, raw), prec)
-    return out
-
-
 def vertex_recovery(alg: LeavittAlgebra, w: str, K) -> Verdict:
     """Recover a frame vertex from the truncated recovery series.
 
-    Sums the iterates of the conjugation operator applied to the vertex
-    idempotents of w's minimal hereditary set; the i-th iterate only
-    carries terms of order >= 2i, so stopping after ceil(K/2) steps leaves
-    a remainder certified beyond K.
+    Sums the iterates C^i(e) of the recovery operator ``conjugate`` over
+    the vertex idempotents e of w's minimal hereditary set.  As e = (1 -
+    C)(1), the sum up to n telescopes to 1 - C^{n+1}(1).  The i-th iterate
+    only carries terms of order >= 2i, so stopping after ceil(K/2) steps
+    leaves a remainder certified beyond K.
     """
     K = _require_finite(K)
     g = alg.graph
@@ -446,7 +416,7 @@ def vertex_recovery(alg: LeavittAlgebra, w: str, K) -> Verdict:
     vec = {u: vertex_idempotent(alg, u, Kw) for u in sorted(member)}
     total = vec[w]
     for _ in range(steps):
-        vec = _conjugation_step(alg, member, vec, Kw)
+        vec = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in sorted(member)}
         total = trunc_add(total, vec[w])
     final = truncate(total.body, min(total.prec, Fraction(2 * (steps + 1))))
     pairs = [(final, exact(alg.vertex(w)), f"recovery series sums to {w}")]

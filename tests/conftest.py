@@ -7,8 +7,8 @@ import pytest
 
 from leavitt import Graph, LeavittAlgebra, Monomial, Specialization, construct_regular
 from leavitt.algebra import add_terms
-from leavitt.completion import exact, truncate, walk_branches
-from leavitt.filtration import as_order, order_of
+from leavitt.completion import exact, truncate
+from leavitt.filtration import INF, as_order, order_of
 
 DATA = FsPath(__file__).resolve().parent.parent / "data"
 
@@ -222,6 +222,18 @@ def arrival_idempotent_by_bfs(alg: LeavittAlgebra, W, K):
     return truncate(body, K)
 
 
+def _walk_branches(special: Specialization, v: str, K):
+    """The branch paths walk(k) f of the special walk from v, for k while
+    2(k + 1) < K and the walk has not reached a sink."""
+    g = special.graph
+    for k, walk in enumerate(special.walk(v)):
+        if 2 * (k + 1) >= K:
+            return
+        for f in g.out_edges(walk.end):
+            if not special.is_special(f.name):
+                yield g.extend(walk, f)
+
+
 def conjugation_step_by_normal_form(alg: LeavittAlgebra, W, vec, Kw) -> dict:
     """The recovery operator with every wrapped sum put through
     ``alg.element``'s normal-form pass."""
@@ -230,7 +242,7 @@ def conjugation_step_by_normal_form(alg: LeavittAlgebra, W, vec, Kw) -> dict:
     for w in sorted(W):
         raw = {}
         prec = Kw
-        for left in walk_branches(alg.special, w, Kw):
+        for left in _walk_branches(alg.special, w, Kw):
             x = vec[left.end]
             prec = min(prec, x.prec)
             wrapped = (
@@ -240,6 +252,20 @@ def conjugation_step_by_normal_form(alg: LeavittAlgebra, W, vec, Kw) -> dict:
             add_terms(raw, wrapped, alg.field.zero)
         out[w] = truncate(alg.element(raw), prec)
     return out
+
+
+def vertex_idempotent_by_branches(alg: LeavittAlgebra, v: str, K):
+    """v minus (q q*) over the branch paths q of the special walk from v,
+    normalised by ``alg.element``; exact when the walk reaches a sink."""
+    K = as_order(K)
+    g = alg.graph
+    reaches_sink = bool(alg.special.orbit_vertices(v) & g.sinks())
+    vp = g.vertex_path(v)
+    terms = {Monomial(vp, vp): alg.field.one}
+    for q in _walk_branches(alg.special, v, INF if reaches_sink else K):
+        terms[Monomial(q, q)] = -alg.field.one
+    body = alg.element(terms)
+    return exact(body) if reaches_sink else truncate(body, K)
 
 
 def is_prime_by_trial_division(p: int) -> bool:

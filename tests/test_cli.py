@@ -51,6 +51,14 @@ GOLDEN_CASES = {
         "verify", "--graph", "data/twocycle.json", "--auto-regular", "--prec", "3",
         "--suite", "all", "--json",
     ],
+    "ev_toeplitz_gammaA_prec6.txt": [
+        "ev", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
+        "--vertex", "v", "--prec", "6",
+    ],
+    "ev_toeplitz_gammaB_prec4.txt": [
+        "ev", "--graph", "data/toeplitz.json", "--gamma", "data/gammaB.json",
+        "--vertex", "v", "--prec", "4",
+    ],
     "verify_toeplitz_gammaA_prec5.txt": [
         "verify", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
         "--prec", "5", "--suite", "all",
@@ -107,6 +115,11 @@ def test_exit_codes(monkeypatch, tmp_path):
     code, _ = invoke(["frame"])
     assert code == 2
     code, _ = invoke(["no-such-command"])
+    assert code == 2
+    # a denominator that is zero in F_7 is a parse error, not a crash
+    code, _ = invoke(
+        ["nf", "--graph", "data/toeplitz.json", "--auto-regular", "--field", "fp:7", "1/7 v"]
+    )
     assert code == 2
     # input errors
     code, _ = invoke(["frame", "data/absent.json"])

@@ -31,12 +31,14 @@ from leavitt.completion import _special_depth
 from leavitt.filtration import order_of
 
 from conftest import (
+    CORPUS,
     arrival_enumeration_by_bfs,
     arrival_idempotent_by_bfs,
     hereditary_sets_bruteforce,
     load_graph,
     random_graph,
     random_specialization,
+    vertex_idempotent_by_branches,
 )
 
 
@@ -275,6 +277,28 @@ def test_vertex_idempotent_carries_vertex(alg_a):
             t = vertex_idempotent(alg_a, v, K)
             vp = alg_a.graph.vertex_path(v)
             assert t.body.coefficient(Monomial(vp, vp)) == alg_a.field.one
+
+
+def test_vertex_idempotent_matches_branch_oracle():
+    # e_v = v - C(1)_v through the recovery operator equals the branch sum
+    # put through the normal-form pass, under random and regular
+    # specializations, over QQ and (every fourth graph) F_7
+    rng = random.Random(19)
+    graphs = [load_graph(name) for name in CORPUS]
+    graphs += [random_graph(rng) for _ in range(150)]
+    calls = 0
+    for i, g in enumerate(graphs):
+        fields = (QQ, PrimeField(7)) if i % 4 == 0 else (QQ,)
+        for special in (random_specialization(rng, g), construct_regular(g)):
+            for field in fields:
+                alg = LeavittAlgebra(special, field)
+                for v in g.vertices:
+                    for K in (0, Fraction(1, 2), 1, 2, Fraction(7, 3), 5, 9):
+                        got = vertex_idempotent(alg, v, K)
+                        want = vertex_idempotent_by_branches(alg, v, K)
+                        assert (got.body, got.prec) == (want.body, want.prec), (g, v, K)
+                        calls += 1
+    assert calls > 10000, calls
 
 
 def test_walk_increment_orders(alg_a):

@@ -32,6 +32,13 @@ def test_syntax_errors_carry_position_and_expectations(alg_a):
     assert "')'" in info.value.expected
     with pytest.raises(ParseError, match="zero denominator"):
         parse(alg_a, "1/0 v")
+    # a denominator is tested in the field: over F_7 a multiple of 7 is zero
+    f7 = LeavittAlgebra(alg_a.special, PrimeField(7))
+    for text in ("1/7 v", "1/14 v", "7/7 v", "1/0 v"):
+        with pytest.raises(ParseError, match="zero denominator") as info:
+            parse(f7, text)
+        assert (info.value.line, info.value.col) == (1, 3)
+    assert parse(f7, "1/8 v") == parse(f7, "v")
     with pytest.raises(ParseError, match="stray character"):
         parse(alg_a, "v + $")
     # digits that int() rejects are not numbers

@@ -12,11 +12,12 @@ from leavitt import (
     check_vertex_idempotent_laws,
     construct_regular,
     decompose,
+    parse,
     run_suite,
     vertex_idempotent,
     vertex_recovery,
 )
-from leavitt.structure import _conjugation_step
+from leavitt.completion import conjugate, truncate
 
 from conftest import (
     CORPUS,
@@ -102,9 +103,10 @@ def test_vertex_recovery_examples():
 
 def test_conjugation_step_needs_no_normal_form():
     # wrapping basic monomials in walk(k) f with f non-special keeps them
-    # basic, so the recovery operator's terms equal their normal form; the
-    # vectors iterate the operator from the vertex idempotents, as
-    # vertex_recovery does, on the corpus and on seeded random graphs
+    # basic, so the terms of the recovery operator ``conjugate`` equal their
+    # normal form; the vectors iterate the operator from the vertex
+    # idempotents, as vertex_recovery does, on the corpus and on seeded
+    # random graphs
     rng = random.Random(31)
     algebras = [corpus_algebra(name) for name in CORPUS]
     for _ in range(60):
@@ -117,7 +119,7 @@ def test_conjugation_step_needs_no_normal_form():
             Kw = 7
             vec = {u: vertex_idempotent(alg, u, Kw) for u in sorted(W)}
             for _ in range(3):
-                got = _conjugation_step(alg, W, vec, Kw)
+                got = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in sorted(W)}
                 want = conjugation_step_by_normal_form(alg, W, vec, Kw)
                 assert {w: (t.body, t.prec) for w, t in got.items()} == {
                     w: (t.body, t.prec) for w, t in want.items()}
@@ -125,6 +127,14 @@ def test_conjugation_step_needs_no_normal_form():
                 steps += any(t.body.terms for t in got.values())
                 vec = got
     assert steps > 100, steps
+
+
+def test_conjugate_passes_operand_precision_through(alg_a):
+    # under gammaA the walk from v loops on e and branches by f into the
+    # sink w; an operand known to order 3 caps the result at 3, which
+    # keeps f f* (order 2) and drops e f f* e* (order 4)
+    got = conjugate(alg_a, lambda u: truncate(alg_a.vertex(u), 3), "v", 7)
+    assert (got.body, got.prec) == (parse(alg_a, "f f*"), 3)
 
 
 def test_vertex_recovery_requires_frame_finite(alg_a):
