@@ -133,60 +133,6 @@ def _special_depth(special: Specialization, W: frozenset) -> int:
     )
 
 
-def _arrivals(special: Specialization, W: frozenset, K: Fraction):
-    """The arrival paths into W of order < K, and whether any was left out.
-
-    An arrival path p of length l whose last s edges are special (and
-    whose edge before them, if any, is not) has order 2l/(2s + 1); it is
-    kept iff 2l * K.den < K.num * (2s + 1).  The search runs depth first
-    from each vertex outside W that reaches W, over edges into vertices
-    that reach W, carrying l and s as integers.  A travel prefix of length
-    L at u is pruned once 2(L + dist(u, W)) * K.den >= K.num * (2D + 1):
-    each arrival path through it has length >= L + dist(u, W) and special
-    suffix <= D, the ``_special_depth`` of W, so order >= K.  The flag is
-    set when an arrival path failed the order test or a prefix was pruned.
-    """
-    g = special.graph
-    num, den = K.numerator, K.denominator
-    budget = num * (2 * _special_depth(special, W) + 1)
-    dist = g.distances_to(W)
-    steps = {
-        u: [(e.name, e.dst, special.is_special(e.name), dist[e.dst])
-            for e in g.out_edges(u) if e.dst in dist]
-        for u in dist if u not in W
-    }
-    found = [g.vertex_path(w) for w in sorted(W)] if num > 0 else []
-    dropped = num <= 0
-    for v in sorted(steps):
-        if 2 * dist[v] * den >= budget:
-            dropped = True
-            continue
-        names: list[str] = []  # the travel prefix below the top of the stack
-        stack = [(iter(steps[v]), 0)]
-        while stack:
-            it, run = stack[-1]
-            step = next(it, None)
-            if step is None:
-                stack.pop()
-                if names:
-                    names.pop()
-                continue
-            name, dst, on_special, d = step
-            length = len(stack)
-            s = run + 1 if on_special else 0
-            if not d:
-                if 2 * length * den < num * (2 * s + 1):
-                    found.append(Path(v, (*names, name), dst))
-                else:
-                    dropped = True
-            elif 2 * (length + d) * den >= budget:
-                dropped = True
-            else:
-                names.append(name)
-                stack.append((iter(steps[dst]), s))
-    return found, dropped
-
-
 def _outside_path_reaches(g: Graph, W: frozenset, n: int) -> bool:
     """Whether some path of length n avoids the hereditary set W.
 
@@ -205,22 +151,35 @@ def _outside_path_reaches(g: Graph, W: frozenset, n: int) -> bool:
 
 def _enumeration_cutoff(g: Graph, K: Fraction) -> int:
     # An arrival path of order < K has 2l < K(2s + 1) with special suffix
-    # s <= D <= |V| - 1, so it is shorter than K(2|V| + 1)/2.  The search
-    # in _arrivals never goes that deep: it prunes a prefix of length L at
-    # u once 2(L + dist(u, W)) >= K(2D + 1).  The cutoff decides exactness:
-    # e(W) is exact iff no path of this length avoids W (so every arrival
-    # path is shorter) and every arrival path has order < K.
+    # s <= D <= |V| - 1, so it is shorter than K(2|V| + 1)/2.  The pruned
+    # states of arrival_idempotent stop short of that, so the cutoff decides
+    # exactness: e(W) is exact iff no path of this length avoids W (so every
+    # arrival path is shorter) and every arrival path has order < K.
     return math.ceil(Fraction(K) * (2 * len(g.vertices) + 1) / 2)
 
 
 def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
-    """The sum of p p* over arrival paths in the hereditary set W.
+    """The sum of p p* over the arrival paths p into the hereditary set W.
 
-    Keeps exactly the terms of order < K, found by the pruned search of
-    ``_arrivals``, at precision K.
+    An arrival path of length l whose last s edges are special (and whose
+    edge before them, if any, is not) has order 2l/(2s + 1).  The sum is
+    built by v = sum e e*, one edge at a time, over states (u, d, r): u
+    reaches W after a travel prefix of length d with trailing special run r.
+    A state is live iff 2(d + dist(u, W)) * K.den < K.num * (2r + 1) for u
+    in W (the path is kept), or < K.num * (2D + 1) outside W, D the
+    ``_special_depth`` of W (else every arrival path through the prefix
+    has order >= K).  F(u, d, r), the sum of x x* over the arrival paths x
+    from u that keep the whole path, is u for a live u in W.  Outside W it
+    is the normal form of the sum of e F(r(e), d + 1, r') e* over the edges
+    e at u into vertices that reach W, r' = r + 1 if e is special and 0 if
+    not.  e(W) is the sum of the F(u, 0, 0).
+
     The value is exact iff no path of length ``_enumeration_cutoff`` avoids
-    W and the search left no arrival path out: none failed the order test
-    and no prefix that can reach W was pruned.
+    W and every state reached is live, which a forward pass over the states
+    decides before any term is built.  Otherwise terms of order >= K are
+    dropped, and early: a term p p* of F(u, d, r) other than u ends in a
+    non-special edge, so wrapping never rewrites it and its order ends up
+    2(d + |p|) >= 2(d + 1).
     """
     K = as_order(K)
     g = alg.graph
@@ -229,12 +188,47 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
         raise ValueError(f"{sorted(W)} is not hereditary")
     if K == INF:
         raise ValueError("arrival idempotents need a finite working precision")
-    paths, dropped = _arrivals(alg.special, W, K)
-    one = alg.field.one
-    body = alg.element({Monomial(p, p): one for p in paths})
-    if dropped or _outside_path_reaches(g, W, _enumeration_cutoff(g, K)):
-        return truncate(body, K)
-    return exact(body)
+    special = alg.special
+    num, den = K.numerator, K.denominator
+    budget = num * (2 * _special_depth(special, W) + 1)
+    dist = g.distances_to(W)
+    steps = {u: [(Path(u, (e.name,), e.dst), special.is_special(e.name))
+                 for e in g.out_edges(u) if e.dst in dist]
+             for u in dist if u not in W}
+    levels = []  # the live states (u, r) at each depth d
+    states = {(u, 0) for u in dist}
+    dropped = False
+    while states:
+        d = len(levels)
+        live = {(u, r) for u, r in states
+                if 2 * (d + dist[u]) * den < (num * (2 * r + 1) if u in W else budget)}
+        dropped |= len(live) < len(states)
+        levels.append(live)
+        states = {(head.end, r + 1 if on_special else 0)
+                  for u, r in live if u not in W for head, on_special in steps[u]}
+    inexact = dropped or _outside_path_reaches(g, W, _enumeration_cutoff(g, K))
+    below: dict = {}  # F at depth d + 1
+    for d in reversed(range(len(levels))):
+        here = {}
+        for u, r in levels[d]:
+            if u in W:
+                here[u, r] = alg.vertex(u).terms
+                continue
+            branches = ((head, below.get((head.end, r + 1 if on_special else 0), {}))
+                        for head, on_special in steps[u])
+            terms = alg.element(_wrapped(g, branches)).terms
+            if inexact and 2 * (d + 1) * den >= num:
+                terms = {m: c for m, c in terms.items() if not m.left.edges}
+            here[u, r] = terms
+        below = here
+    body = Element(alg, {m: c for terms in below.values() for m, c in terms.items()})
+    return truncate(body, K) if inexact else exact(body)
+
+
+def _wrapped(g: Graph, branches):
+    """The terms of left x left* over the (left, x) branches, x a term dict."""
+    return ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
+            for left, terms in branches for m, c in terms.items())
 
 
 def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
@@ -259,11 +253,7 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
             break
         branches += [(g.extend(walk, f), x(f.dst)) for f in g.out_edges(walk.end)
                      if not special.is_special(f.name)]
-    wrapped = (
-        (Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
-        for left, operand in branches
-        for m, c in operand.body.terms.items()
-    )
+    wrapped = _wrapped(g, ((left, operand.body.terms) for left, operand in branches))
     raw = add_terms({}, wrapped, alg.field.zero)
     # dropped walk indices only shed order >= K
     prec = min(min((operand.prec for _, operand in branches), default=INF), K)

@@ -7,8 +7,15 @@ import pytest
 
 from leavitt import Graph, LeavittAlgebra, Monomial, Specialization, construct_regular
 from leavitt.algebra import add_terms
-from leavitt.completion import exact, truncate
+from leavitt.completion import (
+    _enumeration_cutoff,
+    _outside_path_reaches,
+    _special_depth,
+    exact,
+    truncate,
+)
 from leavitt.filtration import INF, as_order, order_of
+from leavitt.graph import Path
 
 DATA = FsPath(__file__).resolve().parent.parent / "data"
 
@@ -220,6 +227,60 @@ def arrival_idempotent_by_bfs(alg: LeavittAlgebra, W, K):
     if complete and not dropped:
         return exact(body)
     return truncate(body, K)
+
+
+def arrival_idempotent_by_pruned_search(alg: LeavittAlgebra, W, K):
+    """e(W) from the arrival paths of order < K, listed by a depth-first
+    search that prunes a travel prefix of length L at u once
+    2(L + dist(u, W)) * K.den >= K.num * (2D + 1), then normalised in one
+    ``alg.element`` call; exact iff no path of length
+    ``_enumeration_cutoff`` avoids W, no arrival path failed the order test
+    and no prefix that can reach W was pruned."""
+    K = as_order(K)
+    g = alg.graph
+    W = frozenset(W)
+    special = alg.special
+    num, den = K.numerator, K.denominator
+    budget = num * (2 * _special_depth(special, W) + 1)
+    dist = g.distances_to(W)
+    steps = {
+        u: [(e.name, e.dst, special.is_special(e.name), dist[e.dst])
+            for e in g.out_edges(u) if e.dst in dist]
+        for u in dist if u not in W
+    }
+    found = [g.vertex_path(w) for w in sorted(W)] if num > 0 else []
+    dropped = num <= 0
+    for v in sorted(steps):
+        if 2 * dist[v] * den >= budget:
+            dropped = True
+            continue
+        names: list[str] = []  # the travel prefix below the top of the stack
+        stack = [(iter(steps[v]), 0)]
+        while stack:
+            it, run = stack[-1]
+            step = next(it, None)
+            if step is None:
+                stack.pop()
+                if names:
+                    names.pop()
+                continue
+            name, dst, on_special, d = step
+            length = len(stack)
+            s = run + 1 if on_special else 0
+            if not d:
+                if 2 * length * den < num * (2 * s + 1):
+                    found.append(Path(v, (*names, name), dst))
+                else:
+                    dropped = True
+            elif 2 * (length + d) * den >= budget:
+                dropped = True
+            else:
+                names.append(name)
+                stack.append((iter(steps[dst]), s))
+    body = alg.element({Monomial(p, p): alg.field.one for p in found})
+    if dropped or _outside_path_reaches(g, W, _enumeration_cutoff(g, K)):
+        return truncate(body, K)
+    return exact(body)
 
 
 def _walk_branches(special: Specialization, v: str, K):

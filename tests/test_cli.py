@@ -227,6 +227,23 @@ def test_idempotent_rejects_non_hereditary_set(monkeypatch):
     assert code == 2
 
 
+def test_idempotent_finishes_on_exponential_arrival_graph(tmp_path):
+    # escalation climbs to Kw=16, and the arrival paths into {v3} grow
+    # exponentially in number with Kw, so they must not be listed one by one
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({
+        "vertices": ["v0", "v1", "v2", "v3", "v4"],
+        "edges": [{"name": name, "src": src, "dst": dst} for name, src, dst in (
+            ("e0", "v0", "v3"), ("e1", "v0", "v4"), ("e2", "v2", "v3"),
+            ("e3", "v2", "v1"), ("e4", "v4", "v0"), ("e5", "v4", "v0"))],
+    }))
+    code, out = invoke(
+        ["idempotent", "--graph", str(graph), "--auto-regular", "--set", "v3", "--prec", "1/2"]
+    )
+    assert code == 0
+    assert "central-idempotent[{v3}]: pass" in out
+
+
 def test_checks_exit_contract():
     # exit 1 only on non-refused failures
     from leavitt.structure import FAIL, PASS, REFUSED, Verdict

@@ -34,6 +34,7 @@ from conftest import (
     CORPUS,
     arrival_enumeration_by_bfs,
     arrival_idempotent_by_bfs,
+    arrival_idempotent_by_pruned_search,
     hereditary_sets_bruteforce,
     load_graph,
     random_graph,
@@ -134,8 +135,8 @@ ORACLE_LEVELS = (0, Fraction(1, 2), 1, 2, Fraction(7, 3), 3, 5)
 
 
 def test_arrival_idempotent_matches_bfs_oracle():
-    # the pruned search equals the breadth-first enumerate-then-filter it
-    # replaced, in body and in precision, over random graphs, both kinds of
+    # arrival_idempotent equals the breadth-first enumerate-then-filter,
+    # in body and in precision, over random graphs, both kinds of
     # specialization, every hereditary set and levels including 0 and
     # fractions; cases whose oracle would build many prefixes are skipped
     rng = random.Random(2024)
@@ -172,34 +173,86 @@ def test_arrival_idempotent_inexact_when_loops_cannot_reach_W():
     assert (got.body, got.prec) == (want.body, want.prec)
 
 
+def test_arrival_idempotent_matches_pruned_search_oracle():
+    # the state recursion equals the pruned depth-first search it replaced,
+    # in body and in precision, on random graphs of up to 8 vertices, both
+    # kinds of specialization, every hereditary set and every oracle level;
+    # cases where the search could build many prefixes are skipped
+    rng = random.Random(2026)
+    compared = exact_cases = skipped = 0
+    for i in range(50):
+        g = random_graph(rng, max_vertices=8, max_edges=16)
+        specs = [random_specialization(rng, g), construct_regular(g)]
+        fields = (QQ, PrimeField(7)) if i % 4 == 0 else (QQ,)
+        for W in hereditary_sets_bruteforce(g):
+            for K in ORACLE_LEVELS:
+                for special in specs:
+                    depth = math.ceil(K * (2 * _special_depth(special, W) + 1) / 2)
+                    if _bfs_prefixes(g, W, depth, 2000) > 2000:
+                        skipped += 1
+                        continue
+                    for field in fields:
+                        alg = LeavittAlgebra(special, field)
+                        got = arrival_idempotent(alg, W, K)
+                        want = arrival_idempotent_by_pruned_search(alg, W, K)
+                        assert (got.body, got.prec) == (want.body, want.prec), (g, special, W, K)
+                        compared += 1
+                        exact_cases += got.is_exact
+    assert compared > 7000 and skipped < 20 and 0 < exact_cases < compared, (compared, skipped)
+
+
 def test_arrival_terms_kept_on_chain_to_rose(monkeypatch):
-    # the chain c0 -> c1 -> c2 -> r with a loop at each c_i and two petals
-    # at r keeps 274, 1,736 and 13,076 arrival terms into {r} at working
-    # precisions 7, 14 and 28, all passed through alg.element at once
+    # on the chain c0 -> c1 -> c2 -> r with a loop at each c_i and two
+    # petals at r, e({r}) is built one state at a time: at working
+    # precisions 7, 14 and 28, alg.element is called 136, 280 and 574 times
+    # with 182, 386 and 806 terms in all, at most 2 per call, where one call
+    # on every kept arrival path took 274, 1,736 and 13,076 terms
     vertices = ["c0", "c1", "c2", "r"]
     edges = [("p0", "r", "r"), ("p1", "r", "r")]
     for i in range(3):
         edges += [(f"l{i}", vertices[i], vertices[i]), (f"f{i}", vertices[i], vertices[i + 1])]
     alg = LeavittAlgebra(construct_regular(Graph(vertices, edges)))
-    sizes = []
+    calls = []
     element = LeavittAlgebra.element
 
     def counting(self, terms):
-        sizes.append(len(terms))
+        terms = list(terms.items() if isinstance(terms, dict) else terms)
+        calls[-1].append(len(terms))
         return element(self, terms)
 
     monkeypatch.setattr(LeavittAlgebra, "element", counting)
     for Kw in (7, 14, 28):
+        calls.append([])
         e = arrival_idempotent(alg, {"r"}, Kw)
         assert e.prec == Kw and e.body == parse(alg, "c0 + c1 + c2 + r")
-    assert sizes == [274, 1736, 13076]
+    assert [len(sizes) for sizes in calls] == [136, 280, 574]
+    assert [sum(sizes) for sizes in calls] == [182, 386, 806]
+    assert max(max(sizes) for sizes in calls) == 2
+    # the state loop needs no recursion as Kw grows
+    assert arrival_idempotent(alg, {"r"}, 224).render() == "c0 + c1 + c2 + r + O(V_224)"
+
+
+def test_arrival_idempotent_on_exponential_arrival_graph():
+    # the arrival paths into {v3} grow exponentially in number with Kw, the
+    # states only linearly, so Kw=28 stays cheap
+    g = Graph(
+        [f"v{i}" for i in range(5)],
+        [("e0", "v0", "v3"), ("e1", "v0", "v4"), ("e2", "v2", "v3"), ("e3", "v2", "v1"),
+         ("e4", "v4", "v0"), ("e5", "v4", "v0")],
+    )
+    alg = LeavittAlgebra(construct_regular(g))
+    got = arrival_idempotent(alg, {"v3"}, 7)
+    want = arrival_idempotent_by_pruned_search(alg, {"v3"}, 7)
+    assert (got.body, got.prec) == (want.body, want.prec)
+    e = arrival_idempotent(alg, {"v3"}, 28)
+    assert e.render() == "v0 + v2 + v3 + v4 - e3 e3* + O(V_28)"
 
 
 @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
 @given(st.data())
 def test_pruned_search_matches_brute_force(data):
     # every path up to the old cutoff, built by Graph.paths_from and filtered
-    # by definition, gives the same e(W) as the pruned search
+    # by definition, gives the same e(W) as arrival_idempotent
     n = data.draw(st.integers(1, 4), label="vertices")
     verts = [f"v{i}" for i in range(n)]
     edges = []
