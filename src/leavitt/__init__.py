@@ -18,7 +18,7 @@ from .completion import (
 )
 from .expr import ParseError, parse, render
 from .fields import QQ, ModInt, PrimeField, RationalField, parse_field
-from .filtration import INF, MonomialParams, min_order, order_of, params_of, product_precision
+from .filtration import INF, min_order, order_of, params_of, product_precision
 from .graph import Edge, Graph, Path, format_vertex_set
 from .specialization import Specialization, SpecializationReport, construct_regular
 from .structure import (
@@ -56,7 +56,6 @@ __all__ = [
     "RationalField",
     "parse_field",
     "INF",
-    "MonomialParams",
     "min_order",
     "order_of",
     "params_of",

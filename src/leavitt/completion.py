@@ -25,7 +25,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .algebra import Element, LeavittAlgebra, Monomial, add_terms
-from .filtration import INF, Order, as_order, format_order, min_order, order_of, product_precision
+from .filtration import (INF, Order, as_order, format_order, min_order, order_of, params_of,
+                         product_precision)
 from .graph import Graph, Path
 from .specialization import Specialization
 
@@ -235,27 +236,34 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
     """Entry w of the recovery operator C applied to the vector x.
 
     C(x)_w collects walk(k) f x(r(f)) f* walk(k)* over the special walk
-    from w and the non-special edges f at the walk's k-th vertex, keeping
-    k while 2(k+1) < K; the walk also stops at a sink.  ``x(u)`` returns
-    the operand at u.  The conjugating edge f is never special, so
-    wrapping a monomial leaves its special suffix and degree alone while
-    adding 2(k+1) to its length: orders never drop, and the operand's
-    precision passes through undamaged.  Wrapping also keeps a basic
-    monomial basic: each side of the result ends in the last edge of that
-    side of the operand, or in f where that side is a vertex, and f is not
-    special.  The wrapped terms therefore need no normal-form pass.
+    from w and the non-special edges f at the walk's k-th vertex; the walk
+    stops at a sink, and at K = inf it must reach one.  ``x(u)`` returns the
+    operand at u.  As f is not special, wrapping a monomial with parameters
+    (n, s, d) keeps s and d and adds 2(k+1) to n: orders never drop, so the
+    operand's precision passes through.  The wrapped order is at least
+    2(k+1)/(s + d + 1), so the walk stops at the first k with 2(k+1) >=
+    K * w_max, w_max the largest s + d + 1 over the operands its branches
+    can reach: the skipped indices shed only order >= K.  Wrapping keeps a
+    basic monomial basic, as each side of the result ends in that side's
+    last edge or, for a vertex, in f; so no normal-form pass is needed.
     """
+    K = as_order(K)
     g = alg.graph
     special = alg.special
+    orbit = special.orbit_vertices(w)
+    if K == INF and not orbit & g.sinks():
+        raise ValueError("a special walk that reaches no sink needs a finite working precision")
+    ends = {f.dst for u in orbit for f in g.out_edges(u) if not special.is_special(f.name)}
+    w_max = max((s + d + 1 for u in ends for _, s, d in
+                 (params_of(special, m) for m in x(u).body.terms)), default=1)
     branches = []  # (walk(k) f, the operand at r(f))
     for k, walk in enumerate(special.walk(w)):
-        if 2 * (k + 1) >= K:
+        if 2 * (k + 1) >= K * w_max:
             break
         branches += [(g.extend(walk, f), x(f.dst)) for f in g.out_edges(walk.end)
                      if not special.is_special(f.name)]
     wrapped = _wrapped(g, ((left, operand.body.terms) for left, operand in branches))
     raw = add_terms({}, wrapped, alg.field.zero)
-    # dropped walk indices only shed order >= K
     prec = min(min((operand.prec for _, operand in branches), default=INF), K)
     return truncate(Element(alg, raw), prec)
 
@@ -265,17 +273,11 @@ def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
 
     C(1)_v sums the monomials (walk(k) f)(walk(k) f)*, of order 2(k + 1),
     over the branches of the walk.  When the walk reaches a sink the sum
-    is finite and the value is exact; otherwise terms with order < K are
-    kept at precision K.
+    is finite and the value is exact; otherwise K must be finite, and terms
+    with order < K are kept at precision K.
     """
     K = as_order(K)
-    reaches_sink = bool(alg.special.orbit_vertices(v) & alg.graph.sinks())
-    if not reaches_sink and K == INF:
-        raise ValueError(
-            "vertex idempotents need a finite working precision unless the "
-            "special walk reaches a sink"
-        )
-    if reaches_sink:
+    if alg.special.orbit_vertices(v) & alg.graph.sinks():
         K = INF
     # C is linear, so e_v = v + C(-1)_v.  The branch monomials have length
     # >= 2 and v has order 0, so v merges into the body iff K > 0.

@@ -26,7 +26,6 @@ suite revalidates this closed form against a sampling oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -53,17 +52,9 @@ def format_order(k: Order) -> str:
     return "inf" if k == INF else str(Fraction(k))
 
 
-@dataclass(frozen=True)
-class MonomialParams:
-    """Filtration parameters (n, s, d) of a monomial."""
-
-    total_len: int
-    special_sum: int
-    abs_degree: int
-
-
-def params_of(special: Specialization, m: Monomial) -> MonomialParams:
-    return MonomialParams(
+def params_of(special: Specialization, m: Monomial) -> tuple[int, int, int]:
+    """The filtration parameters (n, s, d) of a monomial."""
+    return (
         m.total_length,
         special.special_suffix(m.left) + special.special_suffix(m.right),
         abs(m.degree),
@@ -71,8 +62,8 @@ def params_of(special: Specialization, m: Monomial) -> MonomialParams:
 
 
 def order_of(special: Specialization, m: Monomial) -> Fraction:
-    p = params_of(special, m)
-    return Fraction(p.total_len, p.special_sum + p.abs_degree + 1)
+    n, s, d = params_of(special, m)
+    return Fraction(n, s + d + 1)
 
 
 def min_order(a: Element) -> Order:
@@ -88,9 +79,6 @@ def product_precision(special: Specialization, k, m: Monomial) -> Order:
     k = as_order(k)
     if k == INF:
         return INF
-    p = params_of(special, m)
-    bound = min(
-        Fraction(k - 1, 2),
-        Fraction(k + p.total_len - p.abs_degree, 2 * (p.special_sum + p.abs_degree + 1)),
-    )
+    n, s, d = params_of(special, m)
+    bound = min(Fraction(k - 1, 2), Fraction(k + n - d, 2 * (s + d + 1)))
     return max(bound, Fraction(0))

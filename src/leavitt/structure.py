@@ -386,41 +386,43 @@ def check_ideal_transfer(alg: LeavittAlgebra, K) -> list[Verdict]:
 # -- vertex recovery ----------------------------------------------------------
 
 
-def vertex_recovery(alg: LeavittAlgebra, w: str, K) -> Verdict:
-    """Recover a frame vertex from the truncated recovery series.
+def vertex_recovery(alg: LeavittAlgebra, W, K) -> list[Verdict]:
+    """Recover each vertex of the frame member W from one truncated series.
 
-    Sums the iterates C^i(e) of the recovery operator ``conjugate`` over
-    the vertex idempotents e of w's minimal hereditary set.  As e = (1 -
-    C)(1), the sum up to n telescopes to 1 - C^{n+1}(1).  The i-th iterate
-    only carries terms of order >= 2i, so stopping after ceil(K/2) steps
-    leaves a remainder certified beyond K.
+    Lemma 24 sums the iterates C^i(e) of the recovery operator ``conjugate``
+    over the vector e of W's vertex idempotents, indexed by W (hereditary).
+    As e = (1 - C)(1), the sum up to n is 1 - C^{n+1}(1), where C^{n+1}(1)
+    has order >= 2(n + 1).  So steps = ceil(K/2) iterations leave out only
+    order >= Kw = 2(steps + 1) >= K + 2; every iterate is computed at Kw, so
+    each entry carries precision Kw and certifies K.  Returns one verdict
+    per vertex of W, in vertex order.
     """
     K = _require_finite(K)
     g = alg.graph
-    g.check_vertex(w)
-    name = f"vertex-recovery[{w}]"
-    member = next((W for W in g.frame() if w in W), None)
-    if member is None:
-        return Verdict(name, REFUSED, K, None, note=f"{w!r} lies in no minimal hereditary set")
-    if len(member) == 1 and g.is_sink(w):
-        return Verdict(
-            name, REFUSED, K, None,
-            note=f"{w!r} is a lone sink: e_{w} = {w} holds outright, no series needed",
-        )
-    refusal = _refuse_frame_finite(alg, name, K)
-    if refusal is not None:
-        return refusal
+    W = frozenset(W)
+    if W not in g.frame():
+        raise ValueError(f"{format_vertex_set(W)} is not a minimal hereditary set")
+    vertices = sorted(W)
+    names = [f"vertex-recovery[{w}]" for w in vertices]
+    w, *rest = vertices
+    if not rest and g.is_sink(w):
+        note = f"{w!r} is a lone sink: e_{w} = {w} holds outright, no series needed"
+        return [Verdict(names[0], REFUSED, K, None, note=note)]
+    refusals = [_refuse_frame_finite(alg, name, K) for name in names]
+    if refusals[0] is not None:
+        return refusals
 
     steps = math.ceil(K / 2)
-    Kw = max(K + 2, Fraction(2 * (steps + 1)))
-    vec = {u: vertex_idempotent(alg, u, Kw) for u in sorted(member)}
-    total = vec[w]
+    Kw = Fraction(2 * (steps + 1))
+    vec = {u: vertex_idempotent(alg, u, Kw) for u in vertices}
+    total = vec
     for _ in range(steps):
-        vec = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in sorted(member)}
-        total = trunc_add(total, vec[w])
-    final = truncate(total.body, min(total.prec, Fraction(2 * (steps + 1))))
-    pairs = [(final, exact(alg.vertex(w)), f"recovery series sums to {w}")]
-    return _judge(name, K, pairs)
+        vec = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in vertices}
+        total = {u: trunc_add(total[u], vec[u]) for u in vertices}
+    return [
+        _judge(name, K, [(total[w], exact(alg.vertex(w)), f"recovery series sums to {w}")])
+        for name, w in zip(names, vertices)
+    ]
 
 
 # -- decomposition ------------------------------------------------------------
@@ -553,8 +555,7 @@ def run_suite(alg: LeavittAlgebra, suite: str, K, order=None) -> list[Verdict]:
         thunks.append(lambda: check_ideal_transfer(alg, K))
     if want("lemma24"):
         for W in frame:
-            for w in sorted(W):
-                thunks.append(lambda w=w: [vertex_recovery(alg, w, K)])
+            thunks.append(lambda W=W: vertex_recovery(alg, W, K))
     if suite == "all":
         def assembly():
             refusal = _refuse_frame_finite(alg, "decomposition", K)

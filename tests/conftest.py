@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import runpy
+from fractions import Fraction
 from pathlib import Path as FsPath
 
 import pytest
@@ -11,13 +13,18 @@ from leavitt.completion import (
     _enumeration_cutoff,
     _outside_path_reaches,
     _special_depth,
+    conjugate,
     exact,
+    trunc_add,
     truncate,
+    vertex_idempotent,
 )
 from leavitt.filtration import INF, as_order, order_of
 from leavitt.graph import Path
+from leavitt.structure import REFUSED, Verdict, _judge, _refuse_frame_finite, _require_finite
 
-DATA = FsPath(__file__).resolve().parent.parent / "data"
+ROOT = FsPath(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 CORPUS = ("loop", "toeplitz", "rose2", "twocycle", "line", "y", "g3")
 
@@ -28,6 +35,13 @@ def load_graph(name: str) -> Graph:
 
 def corpus_graphs():
     return {name: load_graph(name) for name in CORPUS}
+
+
+def family_graph(family: str, n: int) -> Graph:
+    """The benchmark's synthetic graph ``family(n)``: rose, complete or
+    chain_to_rose."""
+    families = runpy.run_path(str(ROOT / "bench" / "graphs.py"))["FAMILIES"]
+    return Graph.from_json(families[family](n))
 
 
 @pytest.fixture(scope="session")
@@ -327,6 +341,37 @@ def vertex_idempotent_by_branches(alg: LeavittAlgebra, v: str, K):
         terms[Monomial(q, q)] = -alg.field.one
     body = alg.element(terms)
     return exact(body) if reaches_sink else truncate(body, K)
+
+
+def vertex_recovery_by_vertex(alg: LeavittAlgebra, w: str, K) -> Verdict:
+    """Lemma 24 for one vertex w: look up w's frame member, run the
+    member's whole recovery series and keep entry w of it."""
+    K = _require_finite(K)
+    g = alg.graph
+    g.check_vertex(w)
+    name = f"vertex-recovery[{w}]"
+    member = next((W for W in g.frame() if w in W), None)
+    if member is None:
+        return Verdict(name, REFUSED, K, None, note=f"{w!r} lies in no minimal hereditary set")
+    if len(member) == 1 and g.is_sink(w):
+        return Verdict(
+            name, REFUSED, K, None,
+            note=f"{w!r} is a lone sink: e_{w} = {w} holds outright, no series needed",
+        )
+    refusal = _refuse_frame_finite(alg, name, K)
+    if refusal is not None:
+        return refusal
+
+    steps = math.ceil(K / 2)
+    Kw = max(K + 2, Fraction(2 * (steps + 1)))
+    vec = {u: vertex_idempotent(alg, u, Kw) for u in sorted(member)}
+    total = vec[w]
+    for _ in range(steps):
+        vec = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in sorted(member)}
+        total = trunc_add(total, vec[w])
+    final = truncate(total.body, min(total.prec, Fraction(2 * (steps + 1))))
+    pairs = [(final, exact(alg.vertex(w)), f"recovery series sums to {w}")]
+    return _judge(name, K, pairs)
 
 
 def is_prime_by_trial_division(p: int) -> bool:

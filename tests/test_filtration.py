@@ -37,8 +37,8 @@ def test_order_loop():
 def test_params(gamma_b, toeplitz):
     g = toeplitz
     m = Monomial(g.path("v", ("e", "f")), g.path("v", ("f",)))
-    p = params_of(gamma_b, m)
-    assert (p.total_len, p.special_sum, p.abs_degree) == (3, 2, 1)
+    n, s, d = params_of(gamma_b, m)
+    assert (n, s, d) == (3, 2, 1)
 
 
 def test_order_invariant_under_involution(alg_b, gamma_b):
@@ -65,7 +65,8 @@ def test_product_precision_examples(gamma_a, toeplitz):
     s = construct_regular(rose)  # e special, f not
     for d in (1, 2, 3):
         m = Monomial(rose.path("v", ("f",) * d), rose.vertex_path("v"))
-        assert params_of(s, m).special_sum == 0
+        _, special_sum, _ = params_of(s, m)
+        assert special_sum == 0
         assert product_precision(s, 5, m) == min(
             Fraction(2), Fraction(5, 2 * (d + 1))
         )

@@ -1,8 +1,12 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from leavitt import (
+    INF,
+    Graph,
     LeavittAlgebra,
     Specialization,
     check_central_idempotent,
@@ -17,14 +21,18 @@ from leavitt import (
     vertex_idempotent,
     vertex_recovery,
 )
-from leavitt.completion import conjugate, truncate
+from leavitt import structure
+from leavitt.completion import conjugate, exact, truncate
 
 from conftest import (
     CORPUS,
+    DATA,
     conjugation_step_by_normal_form,
+    family_graph,
     load_graph,
     random_graph,
     random_specialization,
+    vertex_recovery_by_vertex,
 )
 
 
@@ -91,14 +99,78 @@ def test_vertex_idempotent_laws_loop_special(alg_a):
 
 def test_vertex_recovery_examples():
     two = corpus_algebra("twocycle")
-    assert vertex_recovery(two, "a", 4).status == "pass"
+    verdicts = vertex_recovery(two, {"a", "b"}, 4)
+    assert [v.name for v in verdicts] == ["vertex-recovery[a]", "vertex-recovery[b]"]
+    assert all(v.status == "pass" for v in verdicts)
     rose = corpus_algebra("rose2")
-    assert vertex_recovery(rose, "v", 4).status == "pass"
+    [verdict] = vertex_recovery(rose, {"v"}, 4)
+    assert verdict.status == "pass"
     y = corpus_algebra("y")
-    refused = vertex_recovery(y, "b", 4)
+    [refused] = vertex_recovery(y, {"b"}, 4)
     assert refused.status == "refused" and "lone sink" in refused.note
-    refused = vertex_recovery(y, "a", 4)
-    assert refused.status == "refused" and "no minimal hereditary" in refused.note
+    # a lies in no minimal hereditary set; {a, b} is hereditary, not minimal
+    for W in ({"a"}, {"a", "b"}):
+        with pytest.raises(ValueError, match="not a minimal hereditary set"):
+            vertex_recovery(y, W, 4)
+
+
+def _recovery_cases():
+    """(algebra, frame member) pairs: the corpus, both Toeplitz
+    specializations, rose(3), complete(3) and chain_to_rose(2) under the
+    regular and a random specialization, and 60 seeded random graphs under
+    both kinds."""
+    rng = random.Random(24)
+    toeplitz = load_graph("toeplitz")
+    specials = [construct_regular(load_graph(name)) for name in CORPUS]
+    specials += [Specialization.load(toeplitz, DATA / f"{name}.json")
+                 for name in ("gammaA", "gammaB")]
+    graphs = [family_graph(family, n)
+              for family, n in (("rose", 3), ("complete", 3), ("chain_to_rose", 2))]
+    graphs += [random_graph(rng, max_vertices=6) for _ in range(60)]
+    for g in graphs:
+        specials += [random_specialization(rng, g), construct_regular(g)]
+    for special in specials:
+        alg = LeavittAlgebra(special)
+        for W in alg.graph.frame():
+            yield alg, W
+
+
+def test_vertex_recovery_matches_per_vertex_oracle():
+    # one series per frame member gives, vertex by vertex, the verdicts of
+    # running the member's series once per vertex and keeping its entry
+    notes = Counter()
+    for alg, W in _recovery_cases():
+        for K in (0, Fraction(1, 2), 2, Fraction(7, 2), 5):
+            got = vertex_recovery(alg, W, K)
+            want = [vertex_recovery_by_vertex(alg, w, K) for w in sorted(W)]
+            assert [(v.text_line(), v.achieved) for v in got] == [
+                (v.text_line(), v.achieved) for v in want], (alg.special, W, K)
+            for v in got:
+                lone_sink = v.note is not None and "lone sink" in v.note
+                notes[v.status, "lone sink" if lone_sink else v.note] += 1
+    assert notes["refused", "lone sink"] > 100, notes
+    assert notes["refused", structure.NOT_FRAME_FINITE_NOTE] >= 20, notes
+    assert notes["pass", None] > 300 and len(notes) == 3, notes
+
+
+def test_vertex_recovery_runs_one_series_per_member(monkeypatch):
+    # complete(3) is one frame member of 3 vertices; at K=4 the series takes
+    # ceil(4/2) = 2 steps, each one conjugate call per vertex: 6 calls, where
+    # running the series once per vertex made 18
+    alg = LeavittAlgebra(construct_regular(family_graph("complete", 3)))
+    V = frozenset(alg.graph.vertices)
+    assert alg.graph.frame() == [V]
+    calls = []
+    original = structure.conjugate
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(structure, "conjugate", counting)
+    verdicts = vertex_recovery(alg, V, 4)
+    assert [v.status for v in verdicts] == ["pass"] * 3
+    assert calls == ["v0", "v1", "v2"] * 2
 
 
 def test_conjugation_step_needs_no_normal_form():
@@ -137,12 +209,56 @@ def test_conjugate_passes_operand_precision_through(alg_a):
     assert (got.body, got.prec) == (parse(alg_a, "f f*"), 3)
 
 
+def _rose_with_special_p0():
+    g = Graph(["r"], [("p0", "r", "r"), ("p1", "r", "r")])
+    return LeavittAlgebra(Specialization(g, {"r": "p0"}))
+
+
+def test_conjugate_cut_respects_operand_weight():
+    # the operand p1 = p1 r* has weight s + d + 1 = 2, so walk index k wraps
+    # it to p0^k p1 p1 p1* (p0*)^k of order (2k + 3)/2: the walk has to run
+    # until 2(k+1) >= 2K, and stopping at 2(k+1) >= K would drop terms of
+    # order 5/2 < 4 and 3/2 < 2
+    alg = _rose_with_special_p0()
+    x = {"r": exact(alg.edge("p1"))}
+    got = conjugate(alg, x.__getitem__, "r", 4)
+    want = "p1 p1 p1* + p0 p1 p1 p1* p0* + p0 p0 p1 p1 p1* p0* p0*"
+    assert (got.body, got.prec) == (parse(alg, want), 4)
+    got = conjugate(alg, x.__getitem__, "r", 2)
+    assert (got.body, got.prec) == (parse(alg, "p1 p1 p1*"), 2)
+    # every level keeps exactly the terms of order below it
+    far = conjugate(alg, x.__getitem__, "r", 12)
+    for K in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(7, 2), 5, 8):
+        got = conjugate(alg, x.__getitem__, "r", K)
+        assert (got.body, got.prec) == (truncate(far.body, K).body, K), K
+
+
+def test_infinite_precision_needs_a_walk_to_a_sink(alg_b):
+    alg = _rose_with_special_p0()
+    calls = []
+
+    def x(u):
+        calls.append(u)
+        assert len(calls) < 100, "conjugate kept walking the special loop"
+        return exact(alg.edge("p1"))
+
+    with pytest.raises(ValueError, match="finite working precision"):
+        conjugate(alg, x, "r", INF)
+    with pytest.raises(ValueError, match="finite working precision"):
+        vertex_idempotent(alg, "r", INF)
+    # under gammaB the walk from v takes the special f into the sink w
+    minus_one = {u: exact(-alg_b.vertex(u)) for u in alg_b.graph.vertices}
+    assert conjugate(alg_b, minus_one.__getitem__, "v", INF).render() == "-e e*"
+    assert vertex_idempotent(alg_b, "v", INF).render() == "v - e e*"
+
+
 def test_vertex_recovery_requires_frame_finite(alg_a):
     # {w} is a sink member on the two-vertex graph, so force the loop case
     rose = load_graph("rose2")
     s = Specialization(rose, {"v": "e"})
     alg = LeavittAlgebra(s)
-    assert vertex_recovery(alg, "v", 4).status == "pass"
+    [verdict] = vertex_recovery(alg, {"v"}, 4)
+    assert verdict.status == "pass"
 
 
 def test_decompose_y():
