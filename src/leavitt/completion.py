@@ -25,8 +25,9 @@ from fractions import Fraction
 from itertools import islice
 
 from .algebra import Element, LeavittAlgebra, Monomial, add_terms
-from .filtration import (INF, Order, as_order, format_order, min_order, order_of, params_of,
+from .filtration import (INF, Order, as_order, format_order, min_order, order_key,
                          product_precision)
+from .filtration import order_of  # noqa: F401  bench/selftest.py traces this binding
 from .graph import Graph, Path
 from .specialization import Specialization
 
@@ -65,7 +66,12 @@ def truncate(a: Element, K) -> TruncatedElement:
     K = as_order(K)
     if K != INF:
         special = a.algebra.special
-        kept = {m: c for m, c in a.terms.items() if order_of(special, m) < K}
+        num, den = K.numerator, K.denominator
+        kept = {}
+        for m, c in a.terms.items():
+            n, weight = order_key(special, m)
+            if n * den < num * weight:
+                kept[m] = c
         if len(kept) < len(a.terms):
             a = Element(a.algebra, kept)
     return TruncatedElement(a, K)
@@ -215,21 +221,16 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
             if u in W:
                 here[u, r] = alg.vertex(u).terms
                 continue
-            branches = ((head, below.get((head.end, r + 1 if on_special else 0), {}))
-                        for head, on_special in steps[u])
-            terms = alg.element(_wrapped(g, branches)).terms
+            wrapped = ((Monomial(g.concat(head, m.left), g.concat(head, m.right)), c)
+                       for head, on_special in steps[u]
+                       for m, c in below.get((head.end, r + 1 if on_special else 0), {}).items())
+            terms = alg.element(wrapped).terms
             if inexact and 2 * (d + 1) * den >= num:
                 terms = {m: c for m, c in terms.items() if not m.left.edges}
             here[u, r] = terms
         below = here
     body = Element(alg, {m: c for terms in below.values() for m, c in terms.items()})
     return truncate(body, K) if inexact else exact(body)
-
-
-def _wrapped(g: Graph, branches):
-    """The terms of left x left* over the (left, x) branches, x a term dict."""
-    return ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
-            for left, terms in branches for m, c in terms.items())
 
 
 def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
@@ -239,13 +240,21 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
     from w and the non-special edges f at the walk's k-th vertex; the walk
     stops at a sink, and at K = inf it must reach one.  ``x(u)`` returns the
     operand at u.  As f is not special, wrapping a monomial with parameters
-    (n, s, d) keeps s and d and adds 2(k+1) to n: orders never drop, so the
-    operand's precision passes through.  The wrapped order is at least
-    2(k+1)/(s + d + 1), so the walk stops at the first k with 2(k+1) >=
-    K * w_max, w_max the largest s + d + 1 over the operands its branches
-    can reach: the skipped indices shed only order >= K.  Wrapping keeps a
-    basic monomial basic, as each side of the result ends in that side's
-    last edge or, for a vertex, in f; so no normal-form pass is needed.
+    (n, s, d) in left = walk(k) f keeps s and d and adds 2|left| = 2(k+1)
+    to n: orders never drop, so the operand's precision passes through.
+    The wrapped order is at least 2(k+1)/(s + d + 1), so the walk stops at
+    the first k with 2(k+1) >= K * w_max, w_max the largest s + d + 1 over
+    the operands its branches can reach: the skipped indices shed only
+    order >= K.  Wrapping keeps a basic monomial basic, as each side of the
+    result ends in that side's last edge or, for a vertex, in f; so no
+    normal-form pass is needed.
+
+    The result's precision prec is the least operand precision over the
+    branches, capped at K.  It is fixed before any term is built, because
+    an operand whose precision is below K lowers the cut: a wrapped term is
+    built only if (n + 2|left|) * prec.den < prec.num * (s + d + 1), that is
+    only if its order is below prec, and at prec = inf every term is.  So
+    no built term is dropped afterwards.
     """
     K = as_order(K)
     g = alg.graph
@@ -254,18 +263,26 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
     if K == INF and not orbit & g.sinks():
         raise ValueError("a special walk that reaches no sink needs a finite working precision")
     ends = {f.dst for u in orbit for f in g.out_edges(u) if not special.is_special(f.name)}
-    w_max = max((s + d + 1 for u in ends for _, s, d in
-                 (params_of(special, m) for m in x(u).body.terms)), default=1)
-    branches = []  # (walk(k) f, the operand at r(f))
+    operands = {u: x(u) for u in ends}
+    rows = {u: [(m, c, *order_key(special, m)) for m, c in operand.body.terms.items()]
+            for u, operand in operands.items()}  # (m, c, n, s + d + 1)
+    w_max = max((weight for r in rows.values() for *_, weight in r), default=1)
+    lefts = []  # the branches walk(k) f
     for k, walk in enumerate(special.walk(w)):
         if 2 * (k + 1) >= K * w_max:
             break
-        branches += [(g.extend(walk, f), x(f.dst)) for f in g.out_edges(walk.end)
-                     if not special.is_special(f.name)]
-    wrapped = _wrapped(g, ((left, operand.body.terms) for left, operand in branches))
-    raw = add_terms({}, wrapped, alg.field.zero)
-    prec = min(min((operand.prec for _, operand in branches), default=INF), K)
-    return truncate(Element(alg, raw), prec)
+        lefts += [g.extend(walk, f) for f in g.out_edges(walk.end)
+                  if not special.is_special(f.name)]
+    prec = min(min((operands[left.end].prec for left in lefts), default=INF), K)
+    # den = 0 at prec = inf turns the keep test into 0 < num * weight
+    num, den = (1, 0) if prec == INF else (prec.numerator, prec.denominator)
+    raw = {}
+    for left in lefts:
+        lift = 2 * len(left) * den
+        add_terms(raw, ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
+                        for m, c, n, weight in rows[left.end] if n * den + lift < num * weight),
+                  alg.field.zero)
+    return TruncatedElement(Element(alg, raw), prec)
 
 
 def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:

@@ -61,6 +61,13 @@ def params_of(special: Specialization, m: Monomial) -> tuple[int, int, int]:
     )
 
 
+def order_key(special: Specialization, m: Monomial) -> tuple[int, int]:
+    """The order of m as the integer pair (n, s + d + 1); the order is
+    n / (s + d + 1), so m lies below a level K = a/b iff n b < a (s + d + 1)."""
+    n, s, d = params_of(special, m)
+    return n, s + d + 1
+
+
 def order_of(special: Specialization, m: Monomial) -> Fraction:
     n, s, d = params_of(special, m)
     return Fraction(n, s + d + 1)

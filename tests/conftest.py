@@ -8,8 +8,9 @@ from pathlib import Path as FsPath
 import pytest
 
 from leavitt import Graph, LeavittAlgebra, Monomial, Specialization, construct_regular
-from leavitt.algebra import add_terms
+from leavitt.algebra import Element, add_terms
 from leavitt.completion import (
+    TruncatedElement,
     _enumeration_cutoff,
     _outside_path_reaches,
     _special_depth,
@@ -19,7 +20,7 @@ from leavitt.completion import (
     truncate,
     vertex_idempotent,
 )
-from leavitt.filtration import INF, as_order, order_of
+from leavitt.filtration import INF, as_order, order_of, params_of
 from leavitt.graph import Path
 from leavitt.structure import REFUSED, Verdict, _judge, _refuse_frame_finite, _require_finite
 
@@ -307,6 +308,35 @@ def _walk_branches(special: Specialization, v: str, K):
         for f in g.out_edges(walk.end):
             if not special.is_special(f.name):
                 yield g.extend(walk, f)
+
+
+def conjugate_by_truncation(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
+    """The recovery operator built first and cut afterwards: every operand
+    term is wrapped in every branch walk(k) f, and then the terms whose
+    ``order_of`` reaches the least operand precision (capped at K) go."""
+    K = as_order(K)
+    g = alg.graph
+    special = alg.special
+    orbit = special.orbit_vertices(w)
+    if K == INF and not orbit & g.sinks():
+        raise ValueError("a special walk that reaches no sink needs a finite working precision")
+    ends = {f.dst for u in orbit for f in g.out_edges(u) if not special.is_special(f.name)}
+    w_max = max((s + d + 1 for u in ends for _, s, d in
+                 (params_of(special, m) for m in x(u).body.terms)), default=1)
+    branches = []  # (walk(k) f, the operand at r(f))
+    for k, walk in enumerate(special.walk(w)):
+        if 2 * (k + 1) >= K * w_max:
+            break
+        branches += [(g.extend(walk, f), x(f.dst)) for f in g.out_edges(walk.end)
+                     if not special.is_special(f.name)]
+    raw = {}
+    for left, operand in branches:
+        wrapped = ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
+                   for m, c in operand.body.terms.items())
+        add_terms(raw, wrapped, alg.field.zero)
+    prec = min(min((operand.prec for _, operand in branches), default=INF), K)
+    kept = {m: c for m, c in raw.items() if order_of(special, m) < prec}
+    return TruncatedElement(Element(alg, kept), prec)
 
 
 def conjugation_step_by_normal_form(alg: LeavittAlgebra, W, vec, Kw) -> dict:

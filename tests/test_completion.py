@@ -37,6 +37,7 @@ from conftest import (
     arrival_idempotent_by_pruned_search,
     hereditary_sets_bruteforce,
     load_graph,
+    random_element,
     random_graph,
     random_specialization,
     vertex_idempotent_by_branches,
@@ -51,6 +52,21 @@ def test_truncate_examples(alg_a):
     assert t.body == parse(alg_a, "v - f f*")
     assert truncate(a, INF).body == a
     assert truncate(a, INF).is_exact
+
+
+def test_truncate_keeps_exactly_the_orders_below_the_level():
+    # truncate decides by integers, n * K.den < K.num * (s + d + 1);
+    # order_of is the oracle
+    rng = random.Random(75)
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=6)
+        for special in (random_specialization(rng, g), construct_regular(g)):
+            alg = LeavittAlgebra(special)
+            a = random_element(rng, alg, terms=6, max_len=4)
+            for K in (0, Fraction(1, 2), 1, Fraction(7, 3), Fraction(5, 2), 5):
+                want = {m: c for m, c in a.terms.items() if order_of(special, m) < K}
+                t = truncate(a, K)
+                assert (t.body.terms, t.prec) == (want, K), (special, K)
 
 
 def test_trunc_add_mul_precision(alg_a):

@@ -7,6 +7,8 @@ from leavitt import (
     INF,
     LeavittAlgebra,
     Monomial,
+    QQ,
+    PrimeField,
     construct_regular,
     min_order,
     order_of,
@@ -14,8 +16,9 @@ from leavitt import (
     parse,
     product_precision,
 )
+from leavitt.filtration import order_key
 
-from conftest import load_graph, random_monomial
+from conftest import load_graph, random_graph, random_monomial, random_specialization
 
 
 def test_order_examples(alg_a, gamma_a):
@@ -155,3 +158,42 @@ def test_order_rejects_floats():
         as_order(0.5)
     assert as_order(3) == Fraction(3)
     assert as_order(INF) == INF
+
+
+def _random_algebras(rng, count):
+    """Seeded random graphs, each under a random specialization and under
+    ``construct_regular``, every third one over F_7."""
+    out = []
+    for i in range(count):
+        g = random_graph(rng, max_vertices=6)
+        field = PrimeField(7) if i % 3 == 2 else QQ
+        out += [LeavittAlgebra(special, field)
+                for special in (random_specialization(rng, g), construct_regular(g))]
+    return out
+
+
+def test_order_key_matches_order_of():
+    rng = random.Random(73)
+    for alg in _random_algebras(rng, 40):
+        for _ in range(40):
+            m = random_monomial(rng, alg, max_len=5)
+            n, weight = order_key(alg.special, m)
+            assert Fraction(n, weight) == order_of(alg.special, m), (alg.special, str(m))
+
+
+def test_normal_form_lowers_order_by_less_than_one():
+    # rewriting a monomial onto the storage basis can lower the order, but
+    # by less than one level: every term of the normal form of m has order
+    # > ord(m) - 1.  This is the slack that a product can spend when it
+    # skips raw terms by their order before normalising them
+    rng = random.Random(74)
+    drops = []
+    for alg in _random_algebras(rng, 100):
+        for _ in range(60):
+            m = random_monomial(rng, alg, max_len=5)
+            k = order_of(alg.special, m)
+            terms = alg.element({m: 1}).terms
+            assert all(order_of(alg.special, t) > k - 1 for t in terms), (alg.special, str(m))
+            drops += [k - order_of(alg.special, t) for t in terms]
+    # the sample does rewrite monomials to a lower order, by up to 10/11
+    assert max(drops) > Fraction(1, 2), max(drops)

@@ -8,6 +8,9 @@ from leavitt import (
     INF,
     Graph,
     LeavittAlgebra,
+    Monomial,
+    QQ,
+    PrimeField,
     Specialization,
     check_central_idempotent,
     check_collapse,
@@ -21,16 +24,18 @@ from leavitt import (
     vertex_idempotent,
     vertex_recovery,
 )
-from leavitt import structure
+from leavitt import completion, structure
 from leavitt.completion import conjugate, exact, truncate
 
 from conftest import (
     CORPUS,
     DATA,
+    conjugate_by_truncation,
     conjugation_step_by_normal_form,
     family_graph,
     load_graph,
     random_graph,
+    random_path,
     random_specialization,
     vertex_recovery_by_vertex,
 )
@@ -231,6 +236,87 @@ def test_conjugate_cut_respects_operand_weight():
     for K in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(7, 2), 5, 8):
         got = conjugate(alg, x.__getitem__, "r", K)
         assert (got.body, got.prec) == (truncate(far.body, K).body, K), K
+
+
+def _operand_at(rng, alg, u, K):
+    """A normal-form operand at u for ``conjugate``: u's vertex idempotent,
+    an exact loop at u (an edge e = e u* of weight 2, or 3 if e is special)
+    or a random element of u A u; the last two are kept exact, at K or
+    below K."""
+    g = alg.graph
+    loops = [e.name for e in g.out_edges(u) if e.dst == u]
+    kind = rng.choice(("idempotent", "loop", "element") if loops else ("idempotent", "element"))
+    low = Fraction(rng.randint(0, 5), rng.randint(1, 3))
+    if K != INF:
+        low = min(low, K)
+    if kind == "idempotent":
+        return vertex_idempotent(alg, u, rng.choice((K, low)) if K != INF else low + 2)
+    if kind == "loop":
+        return exact(alg.edge(rng.choice(loops)))
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        p = random_path(rng, g, u, 3)
+        q = random_path(rng, g, u, 3)
+        if p.end == q.end:
+            pairs.append((Monomial(p, q), rng.choice((-1, 1, 2, 3))))
+    body = alg.element(pairs)
+    return rng.choice((exact(body), truncate(body, low), truncate(body, K)))
+
+
+def test_conjugate_matches_truncation_oracle():
+    # conjugate builds only the wrapped terms below the precision; building
+    # them all and truncating afterwards gives the same (body, prec), on the
+    # corpus and on seeded random graphs under a random specialization and
+    # under construct_regular, over QQ and (every third graph) F_7
+    rng = random.Random(33)
+    specials = [construct_regular(load_graph(name)) for name in CORPUS]
+    for _ in range(80):
+        g = random_graph(rng, max_vertices=6)
+        specials += [random_specialization(rng, g), construct_regular(g)]
+    seen = Counter()
+    for i, special in enumerate(specials):
+        alg = LeavittAlgebra(special, PrimeField(7) if i % 3 == 2 else QQ)
+        g = alg.graph
+        for K in (0, Fraction(1, 2), 1, Fraction(7, 3), 5, 12, INF):
+            vec = {u: _operand_at(rng, alg, u, K) for u in g.vertices}
+            for w in g.vertices:
+                if K == INF and not special.orbit_vertices(w) & g.sinks():
+                    continue
+                got = conjugate(alg, vec.__getitem__, w, K)
+                want = conjugate_by_truncation(alg, vec.__getitem__, w, K)
+                assert (got.body, got.prec) == (want.body, want.prec), (special, w, K)
+                seen["inf" if K == INF else "cut below K" if got.prec < K else "K"] += \
+                    bool(got.body.terms)
+    assert min(seen.values()) > 20 and len(seen) == 3, seen
+
+
+def test_recovery_builds_no_term_it_drops(monkeypatch):
+    # every wrapped term takes two Graph.concat calls, and conjugate builds
+    # only the terms it returns: on rose(4) at K=12 the whole recovery
+    # series, its vertex idempotents included, makes exactly two concat
+    # calls per returned term (building first made 268,668 calls for 8,172
+    # terms kept by the series' own conjugate calls)
+    alg = LeavittAlgebra(construct_regular(family_graph("rose", 4)))
+    concat_calls = []
+    returned = []
+    concat, original = Graph.concat, completion.conjugate
+
+    def counting_concat(self, p, q):
+        concat_calls.append(1)
+        return concat(self, p, q)
+
+    def counting_conjugate(*args):
+        t = original(*args)
+        returned.append(len(t.body.terms))
+        return t
+
+    monkeypatch.setattr(Graph, "concat", counting_concat)
+    monkeypatch.setattr(completion, "conjugate", counting_conjugate)
+    monkeypatch.setattr(structure, "conjugate", counting_conjugate)
+    [verdict] = vertex_recovery(alg, {"r"}, 12)
+    assert verdict.status == "pass"
+    assert len(returned) == 1 + 6  # the vertex idempotent, then ceil(12/2) steps
+    assert len(concat_calls) == 2 * sum(returned) > 0, (len(concat_calls), sum(returned))
 
 
 def test_infinite_precision_needs_a_walk_to_a_sink(alg_b):
