@@ -5,7 +5,10 @@ with this contract: the true value minus the body is a (possibly infinite)
 converging sum of monomials, each of order >= K.  In particular the
 remainder lies in the closure of the filtration stage at level K.  The
 body itself only keeps terms of order < K, and ``prec == inf`` means the
-value is exact.
+value is exact.  The precision is fixed when the element is made; the body
+is built the first time it is read.  Products, sums and vertex idempotents
+defer their terms, so a caller that reads only precisions, as
+working-precision escalation does, forms none of them.
 
 Precision propagates through products via ``product_precision`` plus one
 unit of slack: rewriting a dropped-tail product onto the storage basis can
@@ -20,8 +23,9 @@ depends on both, so the algebra is part of the value's identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
 from .algebra import Element, LeavittAlgebra, Monomial, add_terms
@@ -32,14 +36,19 @@ from .graph import Graph, Path
 from .specialization import Specialization
 
 
-@dataclass(frozen=True)
 class TruncatedElement:
-    body: Element
-    prec: Order
+    """A body known below ``prec``, built by ``make`` on first read."""
 
-    @property
-    def algebra(self) -> LeavittAlgebra:
-        return self.body.algebra
+    def __init__(self, algebra: LeavittAlgebra, prec: Order, make: Callable[[], Element]):
+        self.algebra = algebra
+        self.prec = prec
+        self._make = make
+
+    @cached_property
+    def body(self) -> Element:
+        body = self._make()
+        del self._make  # release the operands the maker holds
+        return body
 
     @property
     def is_exact(self) -> bool:
@@ -58,7 +67,7 @@ class TruncatedElement:
 
 
 def exact(a: Element) -> TruncatedElement:
-    return TruncatedElement(a, INF)
+    return TruncatedElement(a.algebra, INF, lambda: a)
 
 
 def truncate(a: Element, K) -> TruncatedElement:
@@ -74,11 +83,19 @@ def truncate(a: Element, K) -> TruncatedElement:
                 kept[m] = c
         if len(kept) < len(a.terms):
             a = Element(a.algebra, kept)
-    return TruncatedElement(a, K)
+    return TruncatedElement(a.algebra, K, lambda: a)
+
+
+def _common_algebra(a: TruncatedElement, b: TruncatedElement) -> LeavittAlgebra:
+    if a.algebra != b.algebra:
+        raise ValueError("elements live in different algebras")
+    return a.algebra
 
 
 def trunc_add(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
-    return truncate(a.body + b.body, min(a.prec, b.prec))
+    prec = min(a.prec, b.prec)
+    return TruncatedElement(_common_algebra(a, b), prec,
+                            lambda: truncate(a.body + b.body, prec).body)
 
 
 def _minus_slack(k: Order) -> Order:
@@ -92,16 +109,20 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
 
     Tail-times-body terms keep the order promised by ``product_precision``;
     the tail-times-tail part keeps (min(prec) - 1)/2; normalizing costs one
-    more level of slack.  Exact times exact stays exact.
+    more level of slack.  Exact times exact stays exact.  An exact operand
+    has no tail, so the other operand's terms bound nothing and are not
+    read; the product itself is formed only when its body is read.
     """
-    special = a.algebra.special
-    body = a.body * b.body
-    bounds = [product_precision(special, a.prec, m) for m in b.body.terms]
-    bounds += [product_precision(special, b.prec, m) for m in a.body.terms]
+    alg = _common_algebra(a, b)
+    special = alg.special
     lo = min(a.prec, b.prec)
-    bounds.append(INF if lo == INF else Fraction(lo - 1, 2))
+    bounds = [INF if lo == INF else Fraction(lo - 1, 2)]
+    if a.prec != INF:
+        bounds += [product_precision(special, a.prec, m) for m in b.body.terms]
+    if b.prec != INF:
+        bounds += [product_precision(special, b.prec, m) for m in a.body.terms]
     prec = _minus_slack(min(bounds))
-    return truncate(body, prec)
+    return TruncatedElement(alg, prec, lambda: truncate(a.body * b.body, prec).body)
 
 
 def equal_mod(a: TruncatedElement, b: TruncatedElement, K) -> bool:
@@ -233,6 +254,15 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
     return truncate(body, K) if inexact else exact(body)
 
 
+def _walk_vertices(alg: LeavittAlgebra, w: str, K: Order) -> frozenset:
+    """The vertices of the special walk from w, which at K = inf must reach
+    a sink."""
+    orbit = alg.special.orbit_vertices(w)
+    if K == INF and not orbit & alg.graph.sinks():
+        raise ValueError("a special walk that reaches no sink needs a finite working precision")
+    return orbit
+
+
 def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
     """Entry w of the recovery operator C applied to the vector x.
 
@@ -259,9 +289,7 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
     K = as_order(K)
     g = alg.graph
     special = alg.special
-    orbit = special.orbit_vertices(w)
-    if K == INF and not orbit & g.sinks():
-        raise ValueError("a special walk that reaches no sink needs a finite working precision")
+    orbit = _walk_vertices(alg, w, K)
     ends = {f.dst for u in orbit for f in g.out_edges(u) if not special.is_special(f.name)}
     operands = {u: x(u) for u in ends}
     rows = {u: [(m, c, *order_key(special, m)) for m, c in operand.body.terms.items()]
@@ -282,7 +310,7 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
         add_terms(raw, ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
                         for m, c, n, weight in rows[left.end] if n * den + lift < num * weight),
                   alg.field.zero)
-    return TruncatedElement(Element(alg, raw), prec)
+    return TruncatedElement(alg, prec, lambda: Element(alg, raw))
 
 
 def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
@@ -291,14 +319,19 @@ def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
     C(1)_v sums the monomials (walk(k) f)(walk(k) f)*, of order 2(k + 1),
     over the branches of the walk.  When the walk reaches a sink the sum
     is finite and the value is exact; otherwise K must be finite, and terms
-    with order < K are kept at precision K.
+    with order < K are kept at precision K.  The sum is built when the body
+    is first read.
     """
     K = as_order(K)
-    if alg.special.orbit_vertices(v) & alg.graph.sinks():
+    if _walk_vertices(alg, v, K) & alg.graph.sinks():
         K = INF
-    # C is linear, so e_v = v + C(-1)_v.  The branch monomials have length
-    # >= 2 and v has order 0, so v merges into the body iff K > 0.
-    minus_one = {u: exact(-alg.vertex(u)) for u in alg.graph.vertices}
-    branches = conjugate(alg, minus_one.__getitem__, v, K).body.terms
-    head = alg.vertex(v).terms if K else {}
-    return TruncatedElement(Element(alg, {**head, **branches}), K)
+
+    def make():
+        # C is linear, so e_v = v + C(-1)_v.  The branch monomials have
+        # length >= 2 and v has order 0, so v merges into the body iff K > 0.
+        minus_one = {u: exact(-alg.vertex(u)) for u in alg.graph.vertices}
+        branches = conjugate(alg, minus_one.__getitem__, v, K).body.terms
+        head = alg.vertex(v).terms if K else {}
+        return Element(alg, {**head, **branches})
+
+    return TruncatedElement(alg, K, make)

@@ -393,9 +393,18 @@ def vertex_recovery(alg: LeavittAlgebra, W, K) -> list[Verdict]:
     over the vector e of W's vertex idempotents, indexed by W (hereditary).
     As e = (1 - C)(1), the sum up to n is 1 - C^{n+1}(1), where C^{n+1}(1)
     has order >= 2(n + 1).  So steps = ceil(K/2) iterations leave out only
-    order >= Kw = 2(steps + 1) >= K + 2; every iterate is computed at Kw, so
-    each entry carries precision Kw and certifies K.  Returns one verdict
-    per vertex of W, in vertex order.
+    order >= Kw = 2(steps + 1) >= K + 2, and each entry carries precision
+    Kw and certifies K.  Since the series telescopes in any evaluation
+    order, the verdict is a consistency check of that construction of e and
+    of ``conjugate``'s truncation.  Returns one verdict per vertex of W, in
+    vertex order.
+
+    C is linear, so the sum is evaluated by Horner's rule: h_0 = e and
+    h_j = e + C(h_{j-1}) to order 2(j + 1).  Every term of e, and of C
+    applied to such terms, is p p* with p a vertex or ending in a
+    non-special edge: its weight s + d + 1 is 1 and its order 2|p|.  A wrap
+    adds at least 2 to the order, so C(h_{j-1}) to order 2(j + 1) needs
+    h_{j-1} only to order 2j, which is then treated as exact.
     """
     K = _require_finite(K)
     g = alg.graph
@@ -413,14 +422,14 @@ def vertex_recovery(alg: LeavittAlgebra, W, K) -> list[Verdict]:
         return refusals
 
     steps = math.ceil(K / 2)
-    Kw = Fraction(2 * (steps + 1))
-    vec = {u: vertex_idempotent(alg, u, Kw) for u in vertices}
-    total = vec
-    for _ in range(steps):
-        vec = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in vertices}
-        total = {u: trunc_add(total[u], vec[u]) for u in vertices}
+    e = {u: vertex_idempotent(alg, u, 2 * (steps + 1)) for u in vertices}
+    h = e
+    for j in range(1, steps + 1):
+        low = {u: exact(truncate(h[u].body, 2 * j).body) for u in vertices}
+        h = {u: trunc_add(e[u], conjugate(alg, low.__getitem__, u, 2 * (j + 1)))
+             for u in vertices}
     return [
-        _judge(name, K, [(total[w], exact(alg.vertex(w)), f"recovery series sums to {w}")])
+        _judge(name, K, [(h[w], exact(alg.vertex(w)), f"recovery series sums to {w}")])
         for name, w in zip(names, vertices)
     ]
 

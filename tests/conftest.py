@@ -20,7 +20,7 @@ from leavitt.completion import (
     truncate,
     vertex_idempotent,
 )
-from leavitt.filtration import INF, as_order, order_of, params_of
+from leavitt.filtration import INF, as_order, order_of, params_of, product_precision
 from leavitt.graph import Path
 from leavitt.structure import REFUSED, Verdict, _judge, _refuse_frame_finite, _require_finite
 
@@ -335,8 +335,8 @@ def conjugate_by_truncation(alg: LeavittAlgebra, x, w: str, K) -> TruncatedEleme
                    for m, c in operand.body.terms.items())
         add_terms(raw, wrapped, alg.field.zero)
     prec = min(min((operand.prec for _, operand in branches), default=INF), K)
-    kept = {m: c for m, c in raw.items() if order_of(special, m) < prec}
-    return TruncatedElement(Element(alg, kept), prec)
+    kept = Element(alg, {m: c for m, c in raw.items() if order_of(special, m) < prec})
+    return TruncatedElement(alg, prec, lambda: kept)
 
 
 def conjugation_step_by_normal_form(alg: LeavittAlgebra, W, vec, Kw) -> dict:
@@ -402,6 +402,52 @@ def vertex_recovery_by_vertex(alg: LeavittAlgebra, w: str, K) -> Verdict:
     final = truncate(total.body, min(total.prec, Fraction(2 * (steps + 1))))
     pairs = [(final, exact(alg.vertex(w)), f"recovery series sums to {w}")]
     return _judge(name, K, pairs)
+
+
+def recovery_series_by_iterates(alg: LeavittAlgebra, vertices, K) -> dict:
+    """Lemma 24's series over ``vertices`` with every iterate C^i(e) built
+    at Kw = 2(steps + 1) and the iterates added up one by one."""
+    steps = math.ceil(K / 2)
+    Kw = Fraction(2 * (steps + 1))
+    vec = {u: vertex_idempotent(alg, u, Kw) for u in vertices}
+    total = vec
+    for _ in range(steps):
+        vec = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in vertices}
+        total = {u: trunc_add(total[u], vec[u]) for u in vertices}
+    return total
+
+
+def vertex_recovery_by_iterates(alg: LeavittAlgebra, W, K) -> list[Verdict]:
+    """Lemma 24 for the frame member W, judged on
+    ``recovery_series_by_iterates``."""
+    K = _require_finite(K)
+    vertices = sorted(W)
+    names = [f"vertex-recovery[{w}]" for w in vertices]
+    if len(vertices) == 1 and alg.graph.is_sink(vertices[0]):
+        w = vertices[0]
+        note = f"{w!r} is a lone sink: e_{w} = {w} holds outright, no series needed"
+        return [Verdict(names[0], REFUSED, K, None, note=note)]
+    refusals = [_refuse_frame_finite(alg, name, K) for name in names]
+    if refusals[0] is not None:
+        return refusals
+    total = recovery_series_by_iterates(alg, vertices, K)
+    return [
+        _judge(name, K, [(total[w], exact(alg.vertex(w)), f"recovery series sums to {w}")])
+        for name, w in zip(names, vertices)
+    ]
+
+
+def trunc_mul_eager(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
+    """The truncated product formed in full and then truncated, with the
+    precision bounded over the terms of both operands."""
+    special = a.algebra.special
+    body = a.body * b.body
+    bounds = [product_precision(special, a.prec, m) for m in b.body.terms]
+    bounds += [product_precision(special, b.prec, m) for m in a.body.terms]
+    lo = min(a.prec, b.prec)
+    bounds.append(INF if lo == INF else Fraction(lo - 1, 2))
+    prec = min(bounds)
+    return truncate(body, prec if prec == INF else max(prec - 1, Fraction(0)))
 
 
 def is_prime_by_trial_division(p: int) -> bool:

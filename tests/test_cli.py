@@ -8,6 +8,8 @@ import pytest
 
 from leavitt import cli
 
+from conftest import family_graph
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 DATA = HERE.parent / "data"
@@ -81,6 +83,18 @@ def test_golden_outputs(fname, monkeypatch):
     _, second = invoke(GOLDEN_CASES[fname])
     assert first.encode() == committed
     assert second.encode() == committed
+
+
+@pytest.mark.parametrize("family, n, K", [("rose", 4, 12), ("complete", 4, 6)])
+def test_escalated_family_goldens(family, n, K, tmp_path):
+    # the two vertex-series benchmark cases: their checks escalate the
+    # working precision, and the goldens pin each achieved level (special
+    # transfer reaches 137/6 on rose(4) and 73/6 on complete(4))
+    path = tmp_path / f"{family}{n}.json"
+    path.write_text(json.dumps(family_graph(family, n).to_json()))
+    _, out = invoke(["verify", "--graph", str(path), "--auto-regular", "--prec", str(K),
+                     "--suite", "all", "--json"])
+    assert out.encode() == (GOLDEN / f"verify_{family}{n}_prec{K}.json").read_bytes()
 
 
 @pytest.mark.parametrize(

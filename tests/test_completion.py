@@ -27,7 +27,8 @@ from leavitt import (
     vertex_idempotent,
 )
 
-from leavitt.completion import _special_depth
+from leavitt import completion
+from leavitt.completion import TruncatedElement, _special_depth
 from leavitt.filtration import order_of
 
 from conftest import (
@@ -40,6 +41,7 @@ from conftest import (
     random_element,
     random_graph,
     random_specialization,
+    trunc_mul_eager,
     vertex_idempotent_by_branches,
 )
 
@@ -93,6 +95,76 @@ def test_trunc_mul_matches_formula(alg_b):
         bounds += [product_precision(special, pb, m) for m in a.body.terms]
         bounds.append(Fraction(min(pa, pb) - 1, 2))
         assert prod.prec == max(min(bounds) - 1, 0)
+
+
+def _operand(rng, alg):
+    """A random truncated operand: exact, cut at a random level, or a
+    vertex idempotent, whose body is deferred."""
+    level = Fraction(rng.randint(0, 24), rng.randint(1, 2))
+    kind = rng.choice(("exact", "cut", "idempotent"))
+    if kind == "idempotent":
+        return vertex_idempotent(alg, rng.choice(alg.graph.vertices), level)
+    a = random_element(rng, alg, terms=5, max_len=3)
+    return exact(a) if kind == "exact" else truncate(a, level)
+
+
+def test_deferred_product_matches_eager():
+    # trunc_mul fixes its precision first and forms the product on first
+    # read; forming it in full and then truncating gives the same
+    # (body, prec), over QQ and F_7
+    rng = random.Random(11)
+    seen = 0
+    for i in range(60):
+        g = random_graph(rng, max_vertices=5)
+        special = random_specialization(rng, g) if i % 2 else construct_regular(g)
+        alg = LeavittAlgebra(special, PrimeField(7) if i % 3 == 0 else QQ)
+        for _ in range(12):
+            a, b = _operand(rng, alg), _operand(rng, alg)
+            got, want = trunc_mul(a, b), trunc_mul_eager(a, b)
+            assert (got.body, got.prec) == (want.body, want.prec), (special, a, b)
+            seen += bool(got.body.terms) and not got.is_exact
+    assert seen > 100, seen
+
+
+def test_precision_is_fixed_before_the_body(alg_a, alg_b, monkeypatch):
+    # an exact operand's tail is zero, so the other operand's terms are not
+    # read; no product, sum or branch sum is formed until a body is read
+    def unread():
+        raise AssertionError("body read")
+
+    lazy = TruncatedElement(alg_a, Fraction(5), unread)
+    built = truncate(alg_a.zero(), 5)
+    for text in ("v", "e", "e*", "f f*"):
+        x = exact(parse(alg_a, text))
+        assert trunc_mul(x, lazy).prec == trunc_mul(x, built).prec, text
+        assert trunc_mul(lazy, x).prec == trunc_mul(built, x).prec, text
+        assert trunc_add(lazy, x).prec == 5
+    reads = []
+
+    def reading(text):
+        return lambda: reads.append(text) or parse(alg_a, text)
+
+    x = TruncatedElement(alg_a, INF, reading("v"))
+    y = TruncatedElement(alg_a, Fraction(4), reading("v - f f*"))
+    product = trunc_mul(x, y)
+    # product_precision(4, v) = 3/2, less one unit of slack
+    assert product.prec == Fraction(1, 2) and reads == ["v"]
+    assert product.body == parse(alg_a, "v") and reads == ["v", "v - f f*"]
+    # the branch sum of a vertex idempotent waits for its body, too
+    calls = []
+    original = completion.conjugate
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(completion, "conjugate", counting)
+    ev = vertex_idempotent(alg_a, "v", 6)
+    assert ev.prec == 6 and calls == []
+    assert ev.body == parse(alg_a, "v - f f* - e f f* e*") and calls == ["v"]
+    # mixing algebras is refused when the product is made
+    with pytest.raises(ValueError, match="different algebras"):
+        trunc_mul(lazy, TruncatedElement(alg_b, Fraction(5), unread))
 
 
 def test_equal_mod_basic(alg_a):

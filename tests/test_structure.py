@@ -25,6 +25,7 @@ from leavitt import (
     vertex_recovery,
 )
 from leavitt import completion, structure
+from leavitt.algebra import Element
 from leavitt.completion import conjugate, exact, truncate
 
 from conftest import (
@@ -37,6 +38,8 @@ from conftest import (
     random_graph,
     random_path,
     random_specialization,
+    recovery_series_by_iterates,
+    vertex_recovery_by_iterates,
     vertex_recovery_by_vertex,
 )
 
@@ -156,6 +159,81 @@ def test_vertex_recovery_matches_per_vertex_oracle():
     assert notes["refused", "lone sink"] > 100, notes
     assert notes["refused", structure.NOT_FRAME_FINITE_NOTE] >= 20, notes
     assert notes["pass", None] > 300 and len(notes) == 3, notes
+
+
+def test_vertex_recovery_matches_iterates_oracle(monkeypatch):
+    # Horner's rule gives the verdicts and the judged series entries,
+    # (body, prec), of building every iterate C^i(e) at Kw and adding them
+    # up; K = 0 takes no step and judges e itself
+    judged = []
+    judge = structure._judge
+
+    def recording(name, K, pairs, *args, **kwargs):
+        judged.append(pairs[0][0])
+        return judge(name, K, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "_judge", recording)
+    bench = [LeavittAlgebra(construct_regular(family_graph(family, n)))
+             for family, n in (("rose", 4), ("complete", 4), ("chain_to_rose", 3))]
+    cases = [(alg, W, ()) for alg in bench for W in alg.graph.frame()]
+    cases += [(alg, W, (8, 12)) for alg, W in _recovery_cases()]
+    seen = Counter()
+    for alg, W, more in cases:
+        for K in (0, Fraction(1, 2), 2, Fraction(7, 2), 5, *more):
+            judged.clear()
+            got = vertex_recovery(alg, W, K)
+            want = vertex_recovery_by_iterates(alg, W, K)
+            assert [(v.text_line(), v.achieved) for v in got] == [
+                (v.text_line(), v.achieved) for v in want], (alg.special, W, K)
+            if judged:
+                series = recovery_series_by_iterates(alg, sorted(W), K)
+                assert [(t.body, t.prec) for t in judged] == [
+                    (series[w].body, series[w].prec) for w in sorted(W)], (alg.special, W, K)
+                seen[K] += 1
+    assert len(seen) == 7 and min(seen.values()) > 80, seen
+
+
+def test_ideal_transfer_multiplies_only_in_the_certifying_round(monkeypatch):
+    # special transfer escalates Kw 27 -> 864 on rose(4) at K=12 and
+    # 15 -> 480 on complete(4) at K=6; the rounds that do not certify read
+    # only precisions, so only the certifying round forms the two products
+    # per special edge (forming them every round made 12 and 48)
+    calls = []
+    mul = Element.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    for family, n, K, want in (("rose", 4, 12, 2), ("complete", 4, 6, 8)):
+        alg = LeavittAlgebra(construct_regular(family_graph(family, n)))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Element, "__mul__", counting)
+            verdicts = check_ideal_transfer(alg, K)
+        assert [v.status for v in verdicts] == ["pass", "sampled-pass"]
+        assert len(calls) == want, (family, len(calls))
+
+
+def test_recovery_series_stays_small(monkeypatch):
+    # by Horner's rule each step wraps a partial sum that telescopes to
+    # about the vertex: on rose(4) at K=16 every conjugate call together
+    # returns at most 200 terms, where building each iterate C^i(e) at
+    # Kw = 18 returned 131,046
+    alg = LeavittAlgebra(construct_regular(family_graph("rose", 4)))
+    returned = []
+    original = completion.conjugate
+
+    def counting(*args):
+        t = original(*args)
+        returned.append(len(t.body.terms))
+        return t
+
+    monkeypatch.setattr(completion, "conjugate", counting)
+    monkeypatch.setattr(structure, "conjugate", counting)
+    [verdict] = vertex_recovery(alg, {"r"}, 16)
+    assert verdict.status == "pass" and verdict.achieved == 18
+    assert len(returned) == 1 + 8 and sum(returned) <= 200, returned
 
 
 def test_vertex_recovery_runs_one_series_per_member(monkeypatch):
