@@ -5,16 +5,21 @@ with this contract: the true value minus the body is a (possibly infinite)
 converging sum of monomials, each of order >= K.  In particular the
 remainder lies in the closure of the filtration stage at level K.  The
 body itself only keeps terms of order < K, and ``prec == inf`` means the
-value is exact.  The precision is fixed when the element is made; the body
-is built the first time it is read.  Products, sums and vertex idempotents
-defer their terms, so a caller that reads only precisions, as
-working-precision escalation does, forms none of them.
+value is exact.  The precision is fixed when the element is made; terms
+are built only when read.  ``below(L)`` returns the body's terms of order
+below a level L <= prec, and ``body`` is ``below(prec)``.  Products, sums
+and vertex idempotents defer their terms, so a caller that reads only
+precisions, as working-precision escalation does, forms none of them, and
+a caller that reads below L forms only what that level needs.
 
 Precision propagates through products via ``product_precision`` plus one
 unit of slack: rewriting a dropped-tail product onto the storage basis can
 cost one level, so a congruence check at level K compares bodies down to
-order K - 1.  Comparisons never claim more precision than both operands
-carry; asking for more raises an error instead of silently degrading.
+order K - 1 and reads each side below max(K - 1, 0).  The same slack tells
+a product how far to read its operands: a tail of order >= k times a term
+m normalises to order >= product_precision(k, m) - 1.  Comparisons never
+claim more precision than both operands carry; asking for more raises an
+error instead of silently degrading.
 
 Truncated values never mix specializations or fields: the order statistic
 depends on both, so the algebra is part of the value's identity.
@@ -25,11 +30,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 
 from .algebra import Element, LeavittAlgebra, Monomial, add_terms
-from .filtration import (INF, Order, as_order, format_order, min_order, order_key,
+from .filtration import (INF, Order, as_order, format_order, order_key, params_of,
                          product_precision)
 from .filtration import order_of  # noqa: F401  bench/selftest.py traces this binding
 from .graph import Graph, Path
@@ -37,18 +41,28 @@ from .specialization import Specialization
 
 
 class TruncatedElement:
-    """A body known below ``prec``, built by ``make`` on first read."""
+    """A body known below ``prec``; ``make(L)`` builds its terms of order
+    below a level L <= prec."""
 
-    def __init__(self, algebra: LeavittAlgebra, prec: Order, make: Callable[[], Element]):
+    def __init__(self, algebra: LeavittAlgebra, prec: Order, make: Callable[[Order], Element]):
         self.algebra = algebra
         self.prec = prec
         self._make = make
+        self._body: Element | None = None
 
-    @cached_property
+    @property
     def body(self) -> Element:
-        body = self._make()
-        del self._make  # release the operands the maker holds
-        return body
+        return self.below(self.prec)
+
+    def below(self, L: Order) -> Element:
+        """The body's terms of order below L; the whole body, built once,
+        for L >= prec."""
+        if self._body is None:
+            if L < self.prec:
+                return self._make(L)
+            self._body = self._make(self.prec)
+            del self._make  # release the operands the maker holds
+        return self._body if L >= self.prec else _below(self._body, L)
 
     @property
     def is_exact(self) -> bool:
@@ -66,24 +80,33 @@ class TruncatedElement:
         return f"<{self.render()}>"
 
 
+def _below(a: Element, L: Order) -> Element:
+    """The terms of a normal-form element of order below L."""
+    if L == INF:
+        return a
+    special = a.algebra.special
+    num, den = L.numerator, L.denominator
+    kept = {}
+    for m, c in a.terms.items():
+        n, weight = order_key(special, m)
+        if n * den < num * weight:
+            kept[m] = c
+    return a if len(kept) == len(a.terms) else Element(a.algebra, kept)
+
+
+def _held(a: Element, prec: Order) -> TruncatedElement:
+    """A built body a, whose terms all have order below prec."""
+    return TruncatedElement(a.algebra, prec, lambda L: a if L >= prec else _below(a, L))
+
+
 def exact(a: Element) -> TruncatedElement:
-    return TruncatedElement(a.algebra, INF, lambda: a)
+    return _held(a, INF)
 
 
 def truncate(a: Element, K) -> TruncatedElement:
     """Forget the part of a normal-form element of order >= K."""
     K = as_order(K)
-    if K != INF:
-        special = a.algebra.special
-        num, den = K.numerator, K.denominator
-        kept = {}
-        for m, c in a.terms.items():
-            n, weight = order_key(special, m)
-            if n * den < num * weight:
-                kept[m] = c
-        if len(kept) < len(a.terms):
-            a = Element(a.algebra, kept)
-    return TruncatedElement(a.algebra, K, lambda: a)
+    return _held(_below(a, K), K)
 
 
 def _common_algebra(a: TruncatedElement, b: TruncatedElement) -> LeavittAlgebra:
@@ -93,15 +116,28 @@ def _common_algebra(a: TruncatedElement, b: TruncatedElement) -> LeavittAlgebra:
 
 
 def trunc_add(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
-    prec = min(a.prec, b.prec)
-    return TruncatedElement(_common_algebra(a, b), prec,
-                            lambda: truncate(a.body + b.body, prec).body)
+    return TruncatedElement(_common_algebra(a, b), min(a.prec, b.prec),
+                            lambda L: a.below(L) + b.below(L))
 
 
 def _minus_slack(k: Order) -> Order:
     if k == INF:
         return INF
     return max(k - 1, Fraction(0))
+
+
+def _split_level(special: Specialization, L: Order, x: Element) -> Order:
+    """The least k at which a tail of order >= k times any term m of x
+    normalises to order >= L, that is product_precision(k, m) - 1 >= L:
+    k >= 2(L + 1) + 1 and k >= 2(s + d + 1)(L + 1) - n + d."""
+    if L == INF:
+        return INF
+    num, den = L.numerator + L.denominator, L.denominator  # L + 1
+    top = 2 * num + den
+    for m in x.terms:
+        n, s, d = params_of(special, m)
+        top = max(top, 2 * (s + d + 1) * num - (n - d) * den)
+    return Fraction(top, den)
 
 
 def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
@@ -111,7 +147,14 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     the tail-times-tail part keeps (min(prec) - 1)/2; normalizing costs one
     more level of slack.  Exact times exact stays exact.  An exact operand
     has no tail, so the other operand's terms bound nothing and are not
-    read; the product itself is formed only when its body is read.
+    read; the product itself is formed only when its terms are read.
+
+    Read below L, the product first reads all of x, which is b when only
+    b is exact (the precision read b's terms) and a otherwise.  It reads
+    the other operand, y, below the ``_split_level`` k_y of x's terms, and
+    then x below the level k_x of the terms of y it read.  As x y =
+    x y_hi + x_lo y_lo + x_hi y_lo, and the first and last parts normalise
+    to order >= L, the terms below L are those of x_lo y_lo.
     """
     alg = _common_algebra(a, b)
     special = alg.special
@@ -122,25 +165,32 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     if b.prec != INF:
         bounds += [product_precision(special, b.prec, m) for m in a.body.terms]
     prec = _minus_slack(min(bounds))
-    return TruncatedElement(alg, prec, lambda: truncate(a.body * b.body, prec).body)
+    swap = b.is_exact and not a.is_exact
+    x, y = (b, a) if swap else (a, b)
+
+    def make(L):
+        y_lo = y.below(_split_level(special, L, x.body))
+        x_lo = x.below(_split_level(special, L, y_lo))
+        return _below(y_lo * x_lo if swap else x_lo * y_lo, L)
+
+    return TruncatedElement(alg, prec, make)
 
 
 def equal_mod(a: TruncatedElement, b: TruncatedElement, K) -> bool:
     """Congruence at level K: bodies agree down to order K - 1.
 
-    K may not exceed either operand's precision; such a request could not
-    be answered soundly and raises instead.
+    Each side is read below max(K - 1, 0), the only terms the congruence
+    compares.  K may not exceed either operand's precision; such a request
+    could not be answered soundly and raises instead.
     """
-    diff = a.body - b.body
     K = as_order(K)
     if K > min(a.prec, b.prec):
         raise ValueError(
             f"congruence at level {format_order(K)} exceeds available precision "
             f"{format_order(min(a.prec, b.prec))}"
         )
-    if K == INF:
-        return diff.is_zero
-    return min_order(diff) >= K - 1
+    L = _minus_slack(K)
+    return (a.below(L) - b.below(L)).is_zero
 
 
 # -- arrival paths and their idempotents -----------------------------------
@@ -310,7 +360,7 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
         add_terms(raw, ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
                         for m, c, n, weight in rows[left.end] if n * den + lift < num * weight),
                   alg.field.zero)
-    return TruncatedElement(alg, prec, lambda: Element(alg, raw))
+    return _held(Element(alg, raw), prec)
 
 
 def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
@@ -319,19 +369,19 @@ def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
     C(1)_v sums the monomials (walk(k) f)(walk(k) f)*, of order 2(k + 1),
     over the branches of the walk.  When the walk reaches a sink the sum
     is finite and the value is exact; otherwise K must be finite, and terms
-    with order < K are kept at precision K.  The sum is built when the body
-    is first read.
+    with order < K are kept at precision K.  The sum is built when terms
+    are read, and read below L it runs C at L.
     """
     K = as_order(K)
     if _walk_vertices(alg, v, K) & alg.graph.sinks():
         K = INF
 
-    def make():
+    def make(L):
         # C is linear, so e_v = v + C(-1)_v.  The branch monomials have
-        # length >= 2 and v has order 0, so v merges into the body iff K > 0.
+        # length >= 2 and v has order 0, so v merges into the body iff L > 0.
         minus_one = {u: exact(-alg.vertex(u)) for u in alg.graph.vertices}
-        branches = conjugate(alg, minus_one.__getitem__, v, K).body.terms
-        head = alg.vertex(v).terms if K else {}
+        branches = conjugate(alg, minus_one.__getitem__, v, L).body.terms
+        head = alg.vertex(v).terms if L else {}
         return Element(alg, {**head, **branches})
 
     return TruncatedElement(alg, K, make)

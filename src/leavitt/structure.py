@@ -108,7 +108,10 @@ def _judge(name: str, K: Fraction, pairs, sampled=False, note=None) -> Verdict:
     achieved = _achieved_of(pairs)
     for lhs, rhs, label in pairs:
         if not equal_mod(lhs, rhs, K):
-            residual = min_order(lhs.body - rhs.body)
+            # equal_mod saw a term below K - 1, so the least order of the
+            # difference read below that level is the least order of all of it
+            level = max(K - 1, Fraction(0))
+            residual = min_order(lhs.below(level) - rhs.below(level))
             return Verdict(
                 name,
                 FAIL,
@@ -522,7 +525,8 @@ def decompose(alg: LeavittAlgebra, K) -> DecompositionReport:
         checks.append(Verdict("regular-component-count", PASS if ok else FAIL, witness=witness))
 
     shown = {
-        W: (t if t.is_exact else truncate(t.body, min(K, t.prec))) for W, t in es.items()
+        W: (t if t.is_exact else TruncatedElement(alg, min(K, t.prec), t.below))
+        for W, t in es.items()
     }
     return DecompositionReport(frame, comps, assignment, shown, checks)
 

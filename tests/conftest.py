@@ -20,9 +20,11 @@ from leavitt.completion import (
     truncate,
     vertex_idempotent,
 )
-from leavitt.filtration import INF, as_order, order_of, params_of, product_precision
+from leavitt.filtration import (INF, as_order, format_order, min_order, order_of, params_of,
+                                 product_precision)
 from leavitt.graph import Path
-from leavitt.structure import REFUSED, Verdict, _judge, _refuse_frame_finite, _require_finite
+from leavitt.structure import (FAIL, PASS, REFUSED, SAMPLED_PASS, Verdict, _judge,
+                               _refuse_frame_finite, _require_finite)
 
 ROOT = FsPath(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -335,8 +337,11 @@ def conjugate_by_truncation(alg: LeavittAlgebra, x, w: str, K) -> TruncatedEleme
                    for m, c in operand.body.terms.items())
         add_terms(raw, wrapped, alg.field.zero)
     prec = min(min((operand.prec for _, operand in branches), default=INF), K)
-    kept = Element(alg, {m: c for m, c in raw.items() if order_of(special, m) < prec})
-    return TruncatedElement(alg, prec, lambda: kept)
+
+    def kept(L):
+        return Element(alg, {m: c for m, c in raw.items() if order_of(special, m) < L})
+
+    return TruncatedElement(alg, prec, kept)
 
 
 def conjugation_step_by_normal_form(alg: LeavittAlgebra, W, vec, Kw) -> dict:
@@ -448,6 +453,22 @@ def trunc_mul_eager(a: TruncatedElement, b: TruncatedElement) -> TruncatedElemen
     bounds.append(INF if lo == INF else Fraction(lo - 1, 2))
     prec = min(bounds)
     return truncate(body, prec if prec == INF else max(prec - 1, Fraction(0)))
+
+
+def judge_by_full_bodies(name: str, K, pairs, sampled=False, note=None) -> Verdict:
+    """The verdict on whole bodies: each pair's difference is formed in
+    full, and the pair fails when its least order is below K - 1."""
+    levels = [min(lhs.prec, rhs.prec) for lhs, rhs, _ in pairs]
+    achieved = min(levels) if levels else INF
+    for lhs, rhs, label in pairs:
+        if K > min(lhs.prec, rhs.prec):
+            raise ValueError("congruence level exceeds available precision")
+        residual = min_order(lhs.body - rhs.body)
+        if residual < K - 1:
+            witness = (f"{label}: residual has order {format_order(residual)} "
+                       f"< {format_order(K - 1)}")
+            return Verdict(name, FAIL, K, achieved, witness=witness, note=note)
+    return Verdict(name, SAMPLED_PASS if sampled else PASS, K, achieved, note=note)
 
 
 def is_prime_by_trial_division(p: int) -> bool:

@@ -1,5 +1,7 @@
 import math
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,18 +30,22 @@ from leavitt import (
 )
 
 from leavitt import completion
-from leavitt.completion import TruncatedElement, _special_depth
+from leavitt.completion import TruncatedElement, _special_depth, conjugate
 from leavitt.filtration import order_of
+from leavitt.structure import _judge
 
 from conftest import (
     CORPUS,
     arrival_enumeration_by_bfs,
     arrival_idempotent_by_bfs,
     arrival_idempotent_by_pruned_search,
+    family_graph,
     hereditary_sets_bruteforce,
+    judge_by_full_bodies,
     load_graph,
     random_element,
     random_graph,
+    random_path,
     random_specialization,
     trunc_mul_eager,
     vertex_idempotent_by_branches,
@@ -126,10 +132,132 @@ def test_deferred_product_matches_eager():
     assert seen > 100, seen
 
 
+def _fresh_makers(rng, alg):
+    """(maker, factory) pairs and a list of operand factories: each call
+    makes a new truncated element whose deferred body and operands are not
+    yet read."""
+    g = alg.graph
+    a, b, c = (random_element(rng, alg, terms=4, max_len=3) for _ in range(3))
+    u, v, w = (rng.choice(g.vertices) for _ in range(3))
+    low, high = (Fraction(rng.randint(1, 10), rng.randint(1, 2)) for _ in range(2))
+    W = rng.choice(g.frame())
+    operands = [
+        lambda: exact(a),
+        lambda: trunc_mul(exact(a), exact(b)),  # exact, deferred
+        lambda: truncate(b, high),
+        lambda: vertex_idempotent(alg, u, low),  # exact when u's walk reaches a sink
+        lambda: trunc_mul(exact(c), vertex_idempotent(alg, v, high)),
+    ]
+
+    def vector():
+        return {x: vertex_idempotent(alg, x, high) for x in g.vertices}.__getitem__
+
+    makers = [
+        ("exact", operands[0]),
+        ("truncate", operands[2]),
+        ("vertex_idempotent", operands[3]),
+        ("arrival_idempotent", lambda: arrival_idempotent(alg, W, min(low, 6))),
+        ("conjugate", lambda: conjugate(alg, vector(), w, low)),
+    ]
+    for f, h in (rng.sample(operands, 2) for _ in range(2)):
+        makers.append(("trunc_add", lambda f=f, h=h: trunc_add(f(), h())))
+    products = [rng.choices(operands, k=2) for _ in range(4)]
+    for f, h in products:
+        makers.append(("trunc_mul", lambda f=f, h=h: trunc_mul(f(), h())))
+    return makers, products
+
+
+def test_reading_below_a_level_matches_the_cut_body():
+    # x.below(L), read before x's body or its operands' bodies are built,
+    # is x's body cut at L, for every maker and every exactness mix of a
+    # product's operands; the judge reads below max(K - 1, 0) and gives the
+    # verdict that whole bodies give, fail witnesses included; on the
+    # corpus and 60 seeded random graphs, over QQ and (every third) F_7
+    rng = random.Random(12)
+    specials = [construct_regular(load_graph(name)) for name in CORPUS]
+    for i in range(60):
+        g = random_graph(rng, max_vertices=5)
+        specials.append(random_specialization(rng, g) if i % 2 else construct_regular(g))
+    cut, mixes, verdicts = Counter(), Counter(), Counter()
+    for i, special in enumerate(specials):
+        alg = LeavittAlgebra(special, PrimeField(7) if i % 3 == 2 else QQ)
+        makers, products = _fresh_makers(rng, alg)
+        for name, make in makers:
+            x = make()
+            for L in (0, Fraction(1, 2), 1, Fraction(7, 3), 5, x.prec):
+                if L <= x.prec:
+                    got = make().below(L)
+                    assert got == truncate(x.body, L).body, (special, name, L)
+                    cut[name] += len(got.terms) < len(x.body.terms)
+        wrong = exact(random_element(rng, alg, terms=3, max_len=4))
+        for f, h in products:
+            x, y = f(), h()
+            eager = trunc_mul_eager(x, y)
+            product = trunc_mul(f(), h())
+            assert (product.body, product.prec) == (eager.body, eager.prec), special
+            mixes[x.is_exact, y.is_exact] += 1
+            levels = [K for K in (Fraction(1, 2), 1, Fraction(7, 3), 5, x.prec, y.prec)
+                      if K <= min(x.prec, y.prec) and K != INF]
+            if not levels:
+                continue
+            K = rng.choice(levels)
+            for rhs in (h, lambda: trunc_add(h(), wrong)):
+                got = _judge("check", K, [(f(), rhs(), "pair")])
+                assert got == judge_by_full_bodies("check", K, [(f(), rhs(), "pair")]), special
+                verdicts[got.status] += 1
+    assert min(cut.values()) > 10 and len(cut) == 7, cut
+    assert len(mixes) == 4 and min(mixes.values()) > 10, mixes
+    assert len(verdicts) == 2 and min(verdicts.values()) > 50, verdicts
+
+
+def test_product_reads_each_operand_to_its_split_level():
+    # read below L, x y reads y only below the split level of x's terms,
+    # where a tail of order >= k times a term of weight w = s + d + 1 needs
+    # k >= 2w(L + 1) - n + d; long balanced tails times every monomial of
+    # total length <= 2 agree with the product formed in full, and a split
+    # at 2(L + 1) + 1 alone, without the per-term part, would lose terms
+    rng = random.Random(14)
+    lost = 0
+    for g in (load_graph("rose2"), family_graph("rose", 3), family_graph("complete", 3)):
+        alg = LeavittAlgebra(construct_regular(g))
+        paths = [random_path(rng, g, rng.choice(g.vertices), 9) for _ in range(600)]
+        paths = [p for p in paths if len(p) >= 6][:200]
+        tails = [Monomial(p, q) for p in paths[:100] for q in paths[100:] if p.end == q.end]
+        tails = [t for t in tails if order_of(alg.special, t) >= 6][:40]
+        y = alg.element({t: rng.choice((1, 2)) for t in tails})
+        short = [Monomial(p, q) for v in g.vertices for p in g.paths_from(v, 2)
+                 for q in g.paths_from(v, 2 - len(p)) if p.end == q.end]
+        for m in short:
+            x = alg.element({m: 1})
+            for L in (2, 4, 6, Fraction(15, 2)):
+                for a, b in ((x, y), (y, x)):
+                    want = truncate(a * b, L).body
+                    for left, right in ((exact(a), truncate(b, 60)), (truncate(a, 60), exact(b))):
+                        product = trunc_mul(left, right)
+                        if L <= product.prec:
+                            assert product.below(L) == want, (g, str(m), L)
+                    naive = (x * truncate(y, 2 * L + 3).body if a is x
+                             else truncate(y, 2 * L + 3).body * x)
+                    lost += truncate(naive, L).body != want
+    assert lost > 20, lost
+
+
+def test_reading_the_body_releases_the_operands(alg_a):
+    # reading below the precision keeps the maker and its operands; reading
+    # the whole body builds it once and drops them
+    a = truncate(parse(alg_a, "v - f f* - e f f* e*"), 9)
+    ref = weakref.ref(a)
+    product = trunc_mul(exact(parse(alg_a, "v")), a)
+    del a
+    assert product.below(1) == parse(alg_a, "v") and ref() is not None
+    assert product.body == parse(alg_a, "v - f f*") and ref() is None
+    assert product.below(1) == parse(alg_a, "v")
+
+
 def test_precision_is_fixed_before_the_body(alg_a, alg_b, monkeypatch):
     # an exact operand's tail is zero, so the other operand's terms are not
     # read; no product, sum or branch sum is formed until a body is read
-    def unread():
+    def unread(L):
         raise AssertionError("body read")
 
     lazy = TruncatedElement(alg_a, Fraction(5), unread)
@@ -142,7 +270,7 @@ def test_precision_is_fixed_before_the_body(alg_a, alg_b, monkeypatch):
     reads = []
 
     def reading(text):
-        return lambda: reads.append(text) or parse(alg_a, text)
+        return lambda L: reads.append(text) or parse(alg_a, text)
 
     x = TruncatedElement(alg_a, INF, reading("v"))
     y = TruncatedElement(alg_a, Fraction(4), reading("v - f f*"))

@@ -215,6 +215,29 @@ def test_ideal_transfer_multiplies_only_in_the_certifying_round(monkeypatch):
         assert len(calls) == want, (family, len(calls))
 
 
+def test_ideal_transfer_reads_vertex_idempotents_below_what_it_judges(monkeypatch):
+    # special transfer certifies at Kw = 864 on rose(4) at K=12 and at 480
+    # on complete(4) at K=6, but judges only orders below K - 1: e_w is read
+    # below K - 1, and e* e_v e below the split levels of e* and e, so the
+    # branch sums of e_v stop far short of Kw (building them at Kw returned
+    # 1,293 and 2,868 terms)
+    returned = []
+    original = completion.conjugate
+
+    def counting(*args):
+        t = original(*args)
+        returned.append(len(t.body.terms))
+        return t
+
+    monkeypatch.setattr(completion, "conjugate", counting)
+    for family, n, K, most in (("rose", 4, 12, 700), ("complete", 4, 6, 1400)):
+        alg = LeavittAlgebra(construct_regular(family_graph(family, n)))
+        returned.clear()
+        verdicts = check_ideal_transfer(alg, K)
+        assert [v.status for v in verdicts] == ["pass", "sampled-pass"]
+        assert sum(returned) <= most, (family, sum(returned))
+
+
 def test_recovery_series_stays_small(monkeypatch):
     # by Horner's rule each step wraps a partial sum that telescopes to
     # about the vertex: on rose(4) at K=16 every conjugate call together
