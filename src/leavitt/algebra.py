@@ -21,6 +21,7 @@ the process terminates after at most min(l(p), l(q)) steps per monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import QQ
 from .graph import Graph, Path
@@ -158,6 +159,21 @@ class LeavittAlgebra:
 
     def ghost(self, name: str) -> "Element":
         return self.edge(name).star()
+
+    @cached_property
+    def generators(self) -> dict:
+        """Name -> (monomial, its star) for every vertex and edge, built once
+        per algebra: the parser's name table."""
+        g = self.graph
+        table = {}
+        for v in g.vertices:
+            p = g.vertex_path(v)
+            m = Monomial(p, p)
+            table[v] = (m, m)
+        for e in g.edges:
+            m = Monomial(g.path(e.src, (e.name,)), g.vertex_path(e.dst))
+            table[e.name] = (m, m.star())
+        return table
 
     def element(self, terms) -> "Element":
         """Build an element from monomial/coefficient pairs, normalized."""

@@ -13,13 +13,21 @@ involution; there is no infix multiplication sign and no exponent sugar
 (write ``e e e``).  Names resolve against the graph's vertices and edges.
 A bare coefficient denotes that multiple of the identity, so ``0`` parses
 to the zero element and ``render`` round-trips every element exactly.
+
+A term is evaluated as one path product.  Each run of names folds into a
+single monomial p q* (or vanishes) by one structural product per factor,
+is scaled by the term's signed coefficient and is normalised onto the
+basis once, so a term costs time linear in its length; a parenthesised
+factor is parsed to an element and multiplied in.  The normal form is
+unique, so this equals the factor-by-factor product.  Names resolve
+through the algebra's name table (``LeavittAlgebra.generators``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, LeavittAlgebra
+from .algebra import Element, LeavittAlgebra, Monomial, add_terms, monomial_product
 
 
 class ParseError(ValueError):
@@ -110,30 +118,35 @@ class _Parser:
         return value
 
     def expr(self) -> Element:
-        negate = False
+        one = self.algebra.field.one
+        sign = one
         if self.peek().kind == "-":
             self.take()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + (-rhs if op.kind == "-" else rhs)
-        return value
+            sign = -one
+        terms = {}
+        while True:
+            add_terms(terms, self.term(sign).terms.items(), self.algebra.field.zero)
+            if self.peek().kind not in ("+", "-"):
+                return Element(self.algebra, terms)
+            sign = -one if self.take().kind == "-" else one
 
-    def term(self) -> Element:
+    def term(self, sign) -> Element:
+        """The term times ``sign``: each run of names is one path product
+        and each parenthesised factor one Element, multiplied in order; the
+        signed coefficient scales the first of them."""
         tok = self.peek()
         if tok.kind == "INT":
-            value = self.algebra.one().scale(self.coef())
+            c = sign * self.coef()
         elif tok.kind in ("NAME", "("):
-            value = self.factor()
+            c = sign
         else:
             raise self.fail({"integer", "name", "'('"})
+        value = None
         while self.peek().kind in ("NAME", "("):
-            value = value * self.factor()
-        return value
+            piece = self.run(c) if self.peek().kind == "NAME" else self.group().scale(c)
+            c = self.algebra.field.one
+            value = piece if value is None else value * piece
+        return self.algebra.one().scale(c) if value is None else value
 
     def coef(self):
         num = int(self.take().text)
@@ -148,29 +161,37 @@ class _Parser:
             return self.algebra.field.ratio(num, den)
         return self.algebra.field.coerce(num)
 
-    def factor(self) -> Element:
+    def run(self, c) -> Element:
+        """A run of names: one path product c p q*, normalised once."""
+        m = self.generator()
+        while self.peek().kind == "NAME":
+            g = self.generator()  # resolved even once the run is zero
+            if m is not None:
+                m = monomial_product(m, g)
+        if m is None:
+            return self.algebra.zero()
+        return Element(self.algebra, self.algebra._normal({m: c}))
+
+    def generator(self) -> Monomial:
         tok = self.take()
-        if tok.kind == "NAME":
-            value = self.resolve(tok)
-        elif tok.kind == "(":
-            value = self.expr()
-            if self.peek().kind != ")":
-                raise self.fail({"')'"})
+        pair = self.algebra.generators.get(tok.text)
+        if pair is None:
+            raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
+        if self.peek().kind == "*":
             self.take()
-        else:
-            raise self.fail({"name", "'('"})
+            return pair[1]
+        return pair[0]
+
+    def group(self) -> Element:
+        self.take()
+        value = self.expr()
+        if self.peek().kind != ")":
+            raise self.fail({"')'"})
+        self.take()
         if self.peek().kind == "*":
             self.take()
             value = value.star()
         return value
-
-    def resolve(self, tok: _Token) -> Element:
-        g = self.algebra.graph
-        if tok.text in g.vertices:
-            return self.algebra.vertex(tok.text)
-        if g.has_edge(tok.text):
-            return self.algebra.edge(tok.text)
-        raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
 
 
 def parse(algebra: LeavittAlgebra, text: str) -> Element:

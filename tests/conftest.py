@@ -20,6 +20,7 @@ from leavitt.completion import (
     truncate,
     vertex_idempotent,
 )
+from leavitt.expr import ParseError, _Parser
 from leavitt.filtration import (INF, as_order, format_order, min_order, order_of, params_of,
                                  product_precision)
 from leavitt.graph import Path
@@ -469,6 +470,66 @@ def judge_by_full_bodies(name: str, K, pairs, sampled=False, note=None) -> Verdi
                        f"< {format_order(K - 1)}")
             return Verdict(name, FAIL, K, achieved, witness=witness, note=note)
     return Verdict(name, SAMPLED_PASS if sampled else PASS, K, achieved, note=note)
+
+
+class _ParserByProducts(_Parser):
+    """The factor-by-factor evaluation that ``parse`` replaced: each name
+    becomes a vertex or edge Element; a term is the Element product of its
+    factors, one at a time, starting from the multiple of the identity when
+    it begins with a coefficient; the expression is the Element sum of its
+    terms, negated where signed."""
+
+    def expr(self) -> Element:
+        negate = False
+        if self.peek().kind == "-":
+            self.take()
+            negate = True
+        value = self.term()
+        if negate:
+            value = -value
+        while self.peek().kind in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            value = value + (-rhs if op.kind == "-" else rhs)
+        return value
+
+    def term(self) -> Element:
+        tok = self.peek()
+        if tok.kind == "INT":
+            value = self.algebra.one().scale(self.coef())
+        elif tok.kind in ("NAME", "("):
+            value = self.factor()
+        else:
+            raise self.fail({"integer", "name", "'('"})
+        while self.peek().kind in ("NAME", "("):
+            value = value * self.factor()
+        return value
+
+    def factor(self) -> Element:
+        tok = self.take()
+        if tok.kind == "NAME":
+            value = self.resolve(tok)
+        else:
+            value = self.expr()
+            if self.peek().kind != ")":
+                raise self.fail({"')'"})
+            self.take()
+        if self.peek().kind == "*":
+            self.take()
+            value = value.star()
+        return value
+
+    def resolve(self, tok) -> Element:
+        g = self.algebra.graph
+        if tok.text in g.vertices:
+            return self.algebra.vertex(tok.text)
+        if g.has_edge(tok.text):
+            return self.algebra.edge(tok.text)
+        raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
+
+
+def parse_by_products(alg: LeavittAlgebra, text: str) -> Element:
+    return _ParserByProducts(alg, text).parse()
 
 
 def is_prime_by_trial_division(p: int) -> bool:
