@@ -20,7 +20,7 @@ the process terminates after at most min(l(p), l(q)) steps per monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .fields import QQ
@@ -28,19 +28,20 @@ from .graph import Graph, Path
 from .specialization import Specialization
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """The product p q* of two paths with a common range."""
+class Monomial(namedtuple("Monomial", "left right")):
+    """The product p q* of two paths with a common range.
 
-    left: Path
-    right: Path
+    A ``(left, right)`` tuple, so hashing and equality run in C."""
 
-    def __post_init__(self):
-        if self.left.end != self.right.end:
+    __slots__ = ()
+
+    def __new__(cls, left: Path, right: Path):
+        if left.end != right.end:
             raise ValueError(
-                f"paths end at {self.left.end!r} and {self.right.end!r}; "
+                f"paths end at {left.end!r} and {right.end!r}; "
                 "a monomial needs a common range"
             )
+        return tuple.__new__(cls, (left, right))
 
     @property
     def degree(self) -> int:
@@ -162,17 +163,11 @@ class LeavittAlgebra:
 
     @cached_property
     def generators(self) -> dict:
-        """Name -> (monomial, its star) for every vertex and edge, built once
-        per algebra: the parser's name table."""
-        g = self.graph
-        table = {}
-        for v in g.vertices:
-            p = g.vertex_path(v)
-            m = Monomial(p, p)
-            table[v] = (m, m)
-        for e in g.edges:
-            m = Monomial(g.path(e.src, (e.name,)), g.vertex_path(e.dst))
-            table[e.name] = (m, m.star())
+        """Name -> (source, range, the edge's name or None for a vertex) for
+        every vertex and edge, built once per algebra: the parser's name
+        table.  Paths built from it hold the graph's own name strings."""
+        table = {v: (v, v, None) for v in self.graph.vertices}
+        table.update((e.name, (e.src, e.dst, e.name)) for e in self.graph.edges)
         return table
 
     def element(self, terms) -> "Element":

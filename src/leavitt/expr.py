@@ -14,20 +14,30 @@ involution; there is no infix multiplication sign and no exponent sugar
 A bare coefficient denotes that multiple of the identity, so ``0`` parses
 to the zero element and ``render`` round-trips every element exactly.
 
-A term is evaluated as one path product.  Each run of names folds into a
-single monomial p q* (or vanishes) by one structural product per factor,
-is scaled by the term's signed coefficient and is normalised onto the
-basis once, so a term costs time linear in its length; a parenthesised
-factor is parsed to an element and multiplied in.  The normal form is
-unique, so this equals the factor-by-factor product.  Names resolve
-through the algebra's name table (``LeavittAlgebra.generators``).
+Tokens come from one compiled regular-expression scan.  Blanks are
+space, tab, carriage return and newline; an integer is a run of decimal
+digits (``str.isdecimal``); a name starts with a letter (``str.isalpha``)
+and goes on with letters, digits and underscores; any other character is
+stray.  A token is a (kind, text, offset) tuple, and a line and column are
+worked out from the offset only when a ParseError is raised.
+
+A term is evaluated as one path product.  Each run of names is folded on
+edge names into a single monomial p q* (or zero): the fold keeps the edges
+of p, a stack of ghost edges and the vertex reached, looking each name up
+in a name -> (source, range, edge) table built once per algebra
+(``LeavittAlgebra.generators``), so a run builds one monomial.  That
+monomial is scaled by the term's signed coefficient and normalised onto
+the basis once, so a term costs time linear in its length; a
+parenthesised factor is parsed to an element and multiplied in.  The
+normal form is unique, so this equals the factor-by-factor product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
-from .algebra import Element, LeavittAlgebra, Monomial, add_terms, monomial_product
+from .algebra import Element, LeavittAlgebra, Monomial, add_terms
+from .graph import Path
 
 
 class ParseError(ValueError):
@@ -43,153 +53,162 @@ class ParseError(ValueError):
         super().__init__(f"{message} at {line}:{col}{hint}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME INT + - * / ( ) END
-    text: str
-    line: int
-    col: int
+# Blanks, then one token: an integer, a name, an operator or a stray
+# character.  In a str pattern ``\d`` is str.isdecimal and ``\w`` is isalnum
+# or "_"; the name class [^\W\d_] also admits digits that are not decimal,
+# such as "²", which _tokenize reports as stray, since a name starts with
+# str.isalpha.  The stray class holds no blank.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:(\d+)|([^\W\d_]\w*)|([-+*/()])|([^ \t\r\n]))")
+_KIND = (None, "INT", "NAME", None, None)  # by group; an operator is its own kind
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of an offset, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, the last of kind END.  The scan stops
+    before trailing blanks, which would otherwise be retried from each of
+    their offsets."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in "+-*/()":
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"stray character {ch!r}", line, col)
-    tokens.append(_Token("END", "", line, col))
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r\n"))):
+        i = m.lastindex
+        word = m.group(i)
+        if i == 4 or (i == 2 and not word[0].isalpha()):
+            raise ParseError(f"stray character {word[0]!r}", *_position(text, m.start(i)))
+        tokens.append((_KIND[i] or word, word, m.start(i)))
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, algebra: LeavittAlgebra, text: str):
         self.algebra = algebra
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
+    def error(self, message: str, tok, expected=()) -> ParseError:
+        return ParseError(message, *_position(self.text, tok[2]), expected)
+
     def fail(self, expected) -> ParseError:
-        tok = self.peek()
-        what = "end of input" if tok.kind == "END" else f"{tok.text!r}"
-        return ParseError(f"unexpected {what}", tok.line, tok.col, expected)
+        tok = self.tokens[self.pos]
+        what = "end of input" if tok[0] == "END" else f"{tok[1]!r}"
+        return self.error(f"unexpected {what}", tok, expected)
 
     def parse(self) -> Element:
         value = self.expr()
-        if self.peek().kind != "END":
+        if self.peek() != "END":
             raise self.fail({"'+'", "'-'", "end of input"})
         return value
 
     def expr(self) -> Element:
         one = self.algebra.field.one
         sign = one
-        if self.peek().kind == "-":
-            self.take()
+        if self.peek() == "-":
+            self.pos += 1
             sign = -one
         terms = {}
         while True:
             add_terms(terms, self.term(sign).terms.items(), self.algebra.field.zero)
-            if self.peek().kind not in ("+", "-"):
+            if self.peek() not in ("+", "-"):
                 return Element(self.algebra, terms)
-            sign = -one if self.take().kind == "-" else one
+            sign = -one if self.take()[0] == "-" else one
 
     def term(self, sign) -> Element:
         """The term times ``sign``: each run of names is one path product
         and each parenthesised factor one Element, multiplied in order; the
         signed coefficient scales the first of them."""
-        tok = self.peek()
-        if tok.kind == "INT":
+        kind = self.peek()
+        if kind == "INT":
             c = sign * self.coef()
-        elif tok.kind in ("NAME", "("):
+        elif kind in ("NAME", "("):
             c = sign
         else:
             raise self.fail({"integer", "name", "'('"})
         value = None
-        while self.peek().kind in ("NAME", "("):
-            piece = self.run(c) if self.peek().kind == "NAME" else self.group().scale(c)
+        while (kind := self.peek()) in ("NAME", "("):
+            piece = self.run(c) if kind == "NAME" else self.group().scale(c)
             c = self.algebra.field.one
             value = piece if value is None else value * piece
         return self.algebra.one().scale(c) if value is None else value
 
     def coef(self):
-        num = int(self.take().text)
-        if self.peek().kind == "/":
-            self.take()
-            if self.peek().kind != "INT":
+        num = int(self.take()[1])
+        if self.peek() == "/":
+            self.pos += 1
+            if self.peek() != "INT":
                 raise self.fail({"integer"})
-            den = int(self.take().text)
-            tok = self.tokens[self.pos - 1]
+            tok = self.take()
+            den = int(tok[1])
             if not self.algebra.field.coerce(den):
-                raise ParseError("zero denominator", tok.line, tok.col)
+                raise self.error("zero denominator", tok)
             return self.algebra.field.ratio(num, den)
         return self.algebra.field.coerce(num)
 
     def run(self, c) -> Element:
-        """A run of names: one path product c p q*, normalised once."""
-        m = self.generator()
-        while self.peek().kind == "NAME":
-            g = self.generator()  # resolved even once the run is zero
-            if m is not None:
-                m = monomial_product(m, g)
-        if m is None:
+        """A run of names: one path product c p q*, normalised once.
+
+        The product is folded on edge names: the edges of p, a stack of
+        ghost edges whose top is the first edge of q, and the vertex
+        reached, which is None once the product has vanished."""
+        names = self.algebra.generators
+        tokens = self.tokens
+        left, ghosts = [], []
+        start = at = None
+        while tokens[self.pos][0] == "NAME":
+            tok = tokens[self.pos]
+            self.pos += 1
+            entry = names.get(tok[1])
+            if entry is None:  # resolved even once the run is zero
+                raise self.error(f"unknown name {tok[1]!r}", tok)
+            src, dst, edge = entry
+            star = tokens[self.pos][0] == "*"
+            if star:
+                self.pos += 1
+            if start is None:
+                start = at = dst if star else src
+            if at is None:
+                continue
+            if edge is None:  # a vertex, its own star
+                at = src if src == at else None
+            elif star:  # e* needs r(e) and steps back to s(e)
+                if dst == at:
+                    ghosts.append(edge)
+                    at = src
+                else:
+                    at = None
+            elif ghosts:  # e* e = r(e), and f* e = 0 for f != e
+                at = dst if ghosts.pop() == edge else None
+            elif src == at:
+                left.append(edge)
+                at = dst
+            else:
+                at = None
+        if at is None:
             return self.algebra.zero()
+        mid = names[left[-1]][1] if left else start
+        m = Monomial(Path(start, tuple(left), mid), Path(at, tuple(reversed(ghosts)), mid))
         return Element(self.algebra, self.algebra._normal({m: c}))
 
-    def generator(self) -> Monomial:
-        tok = self.take()
-        pair = self.algebra.generators.get(tok.text)
-        if pair is None:
-            raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
-        if self.peek().kind == "*":
-            self.take()
-            return pair[1]
-        return pair[0]
-
     def group(self) -> Element:
-        self.take()
+        self.pos += 1
         value = self.expr()
-        if self.peek().kind != ")":
+        if self.peek() != ")":
             raise self.fail({"')'"})
-        self.take()
-        if self.peek().kind == "*":
-            self.take()
+        self.pos += 1
+        if self.peek() == "*":
+            self.pos += 1
             value = value.star()
         return value
 

@@ -8,19 +8,19 @@ coefficient into a sign and a printable magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class ModInt:
-    """A residue in F_p with exact modular arithmetic."""
+class ModInt(namedtuple("ModInt", "value modulus")):
+    """A residue in F_p with exact modular arithmetic.
 
-    value: int
-    modulus: int
+    A ``(value, modulus)`` tuple, so hashing and equality run in C."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus)
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int):
+        return tuple.__new__(cls, (value % modulus, modulus))
 
     def _check(self, other):
         if not isinstance(other, ModInt) or other.modulus != self.modulus:
@@ -40,6 +40,9 @@ class ModInt:
     def __mul__(self, other):
         self._check(other)
         return ModInt(self.value * other.value, self.modulus)
+
+    def __rmul__(self, other):
+        return NotImplemented  # so ``3 * x`` is a TypeError, not tuple repetition
 
     def __truediv__(self, other):
         self._check(other)

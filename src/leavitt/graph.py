@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -32,13 +33,13 @@ class Edge:
     dst: str
 
 
-@dataclass(frozen=True)
-class Path:
-    """A composable edge sequence; a bare vertex is the zero-length path."""
+class Path(namedtuple("Path", "start edges end")):
+    """A composable edge sequence; a bare vertex is the zero-length path.
 
-    start: str
-    edges: tuple[str, ...]
-    end: str
+    A ``(start, edges, end)`` tuple, so hashing and equality run in C;
+    ``len`` counts the edges."""
+
+    __slots__ = ()
 
     def __len__(self):
         return len(self.edges)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import runpy
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -20,7 +21,7 @@ from leavitt.completion import (
     truncate,
     vertex_idempotent,
 )
-from leavitt.expr import ParseError, _Parser
+from leavitt.expr import ParseError
 from leavitt.filtration import (INF, as_order, format_order, min_order, order_of, params_of,
                                  product_precision)
 from leavitt.graph import Path
@@ -472,12 +473,101 @@ def judge_by_full_bodies(name: str, K, pairs, sampled=False, note=None) -> Verdi
     return Verdict(name, SAMPLED_PASS if sampled else PASS, K, achieved, note=note)
 
 
-class _ParserByProducts(_Parser):
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # NAME INT + - * / ( ) END
+    text: str
+    line: int
+    col: int
+
+
+def tokenize_by_characters(text: str) -> list[_Token]:
+    """The character loop that ``expr._tokenize``'s regex scan replaced:
+    one token object per token, its line and column counted as it goes."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if ch in "+-*/()":
+            tokens.append(_Token(ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(_Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"stray character {ch!r}", line, col)
+    tokens.append(_Token("END", "", line, col))
+    return tokens
+
+
+class _ParserByProducts:
     """The factor-by-factor evaluation that ``parse`` replaced: each name
     becomes a vertex or edge Element; a term is the Element product of its
     factors, one at a time, starting from the multiple of the identity when
     it begins with a coefficient; the expression is the Element sum of its
-    terms, negated where signed."""
+    terms, negated where signed.  It reads the tokens of
+    ``tokenize_by_characters``."""
+
+    def __init__(self, algebra: LeavittAlgebra, text: str):
+        self.algebra = algebra
+        self.tokens = tokenize_by_characters(text)
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, expected) -> ParseError:
+        tok = self.peek()
+        what = "end of input" if tok.kind == "END" else f"{tok.text!r}"
+        return ParseError(f"unexpected {what}", tok.line, tok.col, expected)
+
+    def parse(self) -> Element:
+        value = self.expr()
+        if self.peek().kind != "END":
+            raise self.fail({"'+'", "'-'", "end of input"})
+        return value
+
+    def coef(self):
+        num = int(self.take().text)
+        if self.peek().kind == "/":
+            self.take()
+            if self.peek().kind != "INT":
+                raise self.fail({"integer"})
+            den = int(self.take().text)
+            tok = self.tokens[self.pos - 1]
+            if not self.algebra.field.coerce(den):
+                raise ParseError("zero denominator", tok.line, tok.col)
+            return self.algebra.field.ratio(num, den)
+        return self.algebra.field.coerce(num)
 
     def expr(self) -> Element:
         negate = False

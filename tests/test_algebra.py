@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from leavitt import (
     render,
 )
 
-from leavitt.fields import _is_prime
+from leavitt.fields import ModInt, _is_prime
 
 from conftest import is_prime_by_trial_division, load_graph, random_element, random_monomial
 
@@ -28,6 +30,55 @@ def test_monomial_requires_common_range(toeplitz):
     g = toeplitz
     with pytest.raises(ValueError, match="common range"):
         Monomial(g.path("v", ("e",)), g.path("v", ("f",)))
+
+
+def test_monomial_keeps_its_dataclass_surface(toeplitz):
+    # a (left, right) tuple underneath; its text, checks and copies are
+    # those of the frozen dataclass it replaced
+    g = toeplitz
+    m = mono(g, ("e", "f"), ("f",))
+    assert repr(m) == ("Monomial(left=Path(start='v', edges=('e', 'f'), end='w'), "
+                       "right=Path(start='v', edges=('f',), end='w'))")
+    assert (m.left, m.right) == (g.path("v", ("e", "f")), g.path("v", ("f",)))
+    assert str(m) == "e f f*" and m.degree == 1 and m.total_length == 3
+    assert m.sort_key() == (1, 3, ("e", "f"), "v", ("f",), "v")
+    assert m.star() == mono(g, ("f",), ("e", "f"))
+    for twin in (copy.copy(m), copy.deepcopy(m),
+                 *(pickle.loads(pickle.dumps(m, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert twin == m and type(twin) is Monomial and hash(twin) == hash(m)
+    with pytest.raises(ValueError, match="common range"):
+        Monomial(g.path("v", ("f",)), g.vertex_path("v"))
+
+
+def test_monomials_built_apart_are_one_dict_key(toeplitz):
+    g = toeplitz
+    a = mono(g, ("e",), ("e", "e"))
+    b = Monomial(g.path("v", ("e",)), g.extend(g.path("v", ("e",)), g.edge("e")))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != mono(g, ("e",), ("e",)) and a != a.star()
+
+
+def test_modint_keeps_its_dataclass_surface():
+    x = ModInt(10, 7)
+    assert x.value == 3 and x.modulus == 7
+    assert repr(x) == "ModInt(value=3, modulus=7)" and str(x) == "3"
+    assert not ModInt(7, 7) and ModInt(-1, 7).value == 6 and ModInt(8, 7)
+    assert ModInt(3, 7) == x and hash(ModInt(3, 7)) == hash(x) and {x: 1}[ModInt(17, 7)] == 1
+    assert x * ModInt(5, 7) == ModInt(1, 7) and x / x == ModInt(1, 7)
+    assert x + ModInt(4, 7) == ModInt(0, 7) and x - ModInt(4, 7) == ModInt(6, 7)
+    assert -x == ModInt(4, 7)
+    for twin in (copy.copy(x), copy.deepcopy(x),
+                 *(pickle.loads(pickle.dumps(x, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert twin == x and type(twin) is ModInt
+    # a residue is not a sequence to repeat or to mix with other numbers
+    for other in (3, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            other * x
+    with pytest.raises(ValueError, match="mixed prime-field"):
+        x * ModInt(1, 5)
 
 
 def test_monomial_product_examples(toeplitz):

@@ -1,13 +1,19 @@
 import gc
 import random
+import re
+import sys
+import time
 import weakref
 
 import pytest
 
 from leavitt import (Graph, LeavittAlgebra, ParseError, PrimeField, construct_regular, parse,
                      render)
+from leavitt import algebra, expr
+from leavitt.graph import Path
 
-from conftest import corpus_graphs, load_graph, parse_by_products, random_element
+from conftest import (corpus_graphs, load_graph, parse_by_products, random_element,
+                      tokenize_by_characters)
 
 
 def test_parse_examples(alg_a):
@@ -213,3 +219,109 @@ def test_name_table_does_not_keep_the_graph_alive():
     del alg
     gc.collect()
     assert ref() is None
+
+
+def _outcome(parser, alg, text):
+    try:
+        return parser(alg, text)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col, exc.expected)
+
+
+def test_tokenizer_matches_character_loop_on_fuzz(alg_a):
+    # the regex scan against the character loop it replaced, through the
+    # whole parser: same element, or same message, position and
+    # expectations.  The atoms probe each character class: only [ \t\r\n]
+    # are blanks (\x0b and the no-break space are stray), a name starts
+    # with str.isalpha ("_a" and "²" are stray, "a²" and "é" are names),
+    # and an integer is str.isdecimal ("٣" is three).  Texts end in blanks
+    # too: a (.) catch-all, in a scan run to the end of the text, reports a
+    # trailing blank as stray.
+    rng = random.Random(19)
+    f7 = LeavittAlgebra(alg_a.special, PrimeField(7))
+    atoms = ["v", "w", "e", "f", "x", "e*", "*", "+", "-", "(", ")", "/", "0", "1", "12",
+             "2/3", " ", "\n", "\t", "\r", "\x0b", "\xa0", "_a", "a_", "\u00b2", "\u0663",
+             "\u00e9", "3a", "a\u00b2", "$"]
+    blanks = ["", " ", "\n", "\t", "\r", " \r\n\t "]
+    errors = 0
+    for i in range(2400):
+        text = "".join(rng.choice(atoms) for _ in range(rng.randint(1, 12)))
+        text += rng.choice(blanks)
+        alg = f7 if i % 3 == 0 else alg_a
+        got = _outcome(parse, alg, text)
+        assert got == _outcome(parse_by_products, alg, text), repr(text)
+        errors += isinstance(got, tuple)
+    assert 500 < errors < 2300
+
+
+def test_tokens_are_kind_text_offset(alg_a):
+    assert expr._tokenize("2 e*\n+ \u0663/x\t") == [
+        ("INT", "2", 0), ("NAME", "e", 2), ("*", "*", 3), ("+", "+", 5),
+        ("INT", "\u0663", 7), ("/", "/", 8), ("NAME", "x", 9), ("END", "", 11)]
+    assert [(t.kind, t.text) for t in tokenize_by_characters("2 e*\n+ \u0663/x\t")] == [
+        (kind, text) for kind, text, _ in expr._tokenize("2 e*\n+ \u0663/x\t")]
+
+
+def test_character_classes_match_str_methods():
+    # the scan relies on \d being str.isdecimal and \w being isalnum or "_"
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\d", everything)) == {c for c in everything if c.isdecimal()}
+    assert set(re.findall(r"\w", everything)) == {
+        c for c in everything if c.isalnum() or c == "_"}
+
+
+def test_trailing_blanks_are_scanned_once(alg_a):
+    # a scan retried from each trailing blank is quadratic: 20,000 blanks
+    # would take about a minute; one pass takes milliseconds
+    text = "e e*" + " \t\r\n" * 5000
+    t0 = time.process_time()
+    assert parse(alg_a, text) == parse(alg_a, "e e*")
+    assert time.process_time() - t0 < 2.0
+
+
+def test_runs_fold_without_structural_products(alg_a, monkeypatch):
+    # a term without parentheses is one run of names, folded on edge names
+    calls = []
+
+    def counting(m1, m2):
+        calls.append((m1, m2))
+        return product(m1, m2)
+
+    product = algebra.monomial_product
+    monkeypatch.setattr(algebra, "monomial_product", counting)
+    monkeypatch.setattr(expr, "monomial_product", counting, raising=False)
+    parse(alg_a, "2 e e f - 1/2 e* + e f f* e* - 3 v e e e* + e* e f f* + f e")
+    assert calls == []
+    parse(alg_a, "(e) e")
+    assert calls
+
+
+def test_a_run_builds_two_paths(alg_a, monkeypatch):
+    # one Monomial p q* per run: its two paths and nothing per factor
+    text = "v e e e* e e e f f* e*"
+    expected = parse_by_products(alg_a, text)
+    assert str(expected) == "e e e e f f* e*"
+    parse(alg_a, "v")  # builds the name table
+    made = []
+    new = Path.__new__
+
+    def counting(cls, *fields):
+        made.append(fields)
+        return new(cls, *fields)
+
+    monkeypatch.setattr(Path, "__new__", counting)
+    assert parse(alg_a, text) == expected
+    assert len(made) <= 2
+
+
+def test_runs_hold_the_graphs_name_strings():
+    # a run's paths take their names from the name table, not from the
+    # token texts, so retained elements share one string per name
+    g = Graph(["top", "bottom"], [("down", "top", "bottom"), ("loop", "top", "top")])
+    alg = LeavittAlgebra(construct_regular(g))
+    own = {name: name for name in g.vertices + tuple(e.name for e in g.edges)}
+    a = parse(alg, "loop loop down down* loop* + 2 top loop*")
+    assert len(a.terms) == 3
+    for m in a.terms:
+        for p in (m.left, m.right):
+            assert all(s is own[s] for s in (p.start, p.end, *p.edges)), m

@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from leavitt import Graph
+from leavitt.graph import Path
 
 from conftest import (
     CORPUS,
@@ -13,6 +16,34 @@ from conftest import (
     minimal_hereditary_bruteforce,
     random_graph,
 )
+
+
+def test_path_keeps_its_dataclass_surface():
+    # a (start, edges, end) tuple underneath; len counts edges, and text
+    # and copies are those of the frozen dataclass it replaced
+    g = load_graph("toeplitz")
+    p = g.path("v", ("e", "f"))
+    assert (p.start, p.edges, p.end) == ("v", ("e", "f"), "w")
+    assert repr(p) == "Path(start='v', edges=('e', 'f'), end='w')"
+    assert len(p) == 2 and str(p) == "e f"
+    vertex = g.vertex_path("w")
+    assert len(vertex) == 0 and str(vertex) == "w"
+    assert repr(vertex) == "Path(start='w', edges=(), end='w')"
+    for q in (p, vertex):
+        for twin in (copy.copy(q), copy.deepcopy(q),
+                     *(pickle.loads(pickle.dumps(q, proto))
+                       for proto in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert twin == q and type(twin) is Path and hash(twin) == hash(q)
+
+
+def test_paths_built_apart_are_one_dict_key():
+    g = load_graph("toeplitz")
+    a = g.path("v", ("e", "e"))
+    b = g.extend(g.path("v", ("e",)), g.edge("e"))
+    c = Path("v", ("e", "e"), "v")
+    assert a is not b and a == b == c and hash(a) == hash(b) == hash(c)
+    assert {a: 1}[b] == 1 and {b: 2}[c] == 2
+    assert a != g.path("v", ("e",)) and g.vertex_path("v") != g.vertex_path("w")
 
 
 def test_descendants_line():
