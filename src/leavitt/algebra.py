@@ -13,9 +13,10 @@ monomial (p c, q c) with special last edge c by
 
     (p, q) - sum over the other edges f at s(c) of (p f, q f),
 
-which is the vertex relation at s(c) rearranged.  The replacement terms
-end in a non-special edge, so each rewrite shortens the reducible part and
-the process terminates after at most min(l(p), l(q)) steps per monomial.
+which is the vertex relation at s(c) rearranged.  A vertex has exactly one
+special edge, so every replacement (p f, q f) ends in a non-special edge
+and is already basic: only (p, q) may be rewritten again.  Each monomial
+therefore rewrites along a single chain, of at most min(l(p), l(q)) steps.
 """
 
 from __future__ import annotations
@@ -43,13 +44,16 @@ class Monomial(namedtuple("Monomial", "left right")):
             )
         return tuple.__new__(cls, (left, right))
 
+    # so ``_replace`` and ``copy.replace`` check the common range too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @property
     def degree(self) -> int:
-        return len(self.left) - len(self.right)
+        return len(self.left.edges) - len(self.right.edges)
 
     @property
     def total_length(self) -> int:
-        return len(self.left) + len(self.right)
+        return len(self.left.edges) + len(self.right.edges)
 
     def star(self) -> "Monomial":
         return Monomial(self.right, self.left)
@@ -71,31 +75,20 @@ class Monomial(namedtuple("Monomial", "left right")):
         return " ".join(parts)
 
 
-def _extends(prefix: Path, longer: Path) -> bool:
-    return (
-        longer.start == prefix.start
-        and longer.edges[: len(prefix.edges)] == prefix.edges
-    )
-
-
 def monomial_product(m1: Monomial, m2: Monomial) -> Monomial | None:
     """Structural product (p,q)(u,w); None when q* u vanishes.
 
     q* u is nonzero exactly when one of q, u continues the other: either
     u = q u' giving (p u', w), or q = u q' giving (p, w q').
     """
-    q, u = m1.right, m2.left
-    if len(u) >= len(q):
-        if not _extends(q, u):
-            return None
-        tail = Path(q.end, u.edges[len(q.edges):], u.end)
-        left = Path(m1.left.start, m1.left.edges + tail.edges, tail.end)
-        return Monomial(left, m2.right)
-    if not _extends(u, q):
+    q, u = m1.right.edges, m2.left.edges
+    n = min(len(q), len(u))
+    if m1.right.start != m2.left.start or q[:n] != u[:n]:
         return None
-    tail = Path(u.end, q.edges[len(u.edges):], q.end)
-    right = Path(m2.right.start, m2.right.edges + tail.edges, tail.end)
-    return Monomial(m1.left, right)
+    p, w = m1.left, m2.right
+    if len(u) > n:
+        return Monomial(Path(p.start, p.edges + u[n:], m2.left.end), w)
+    return Monomial(p, Path(w.start, w.edges + q[n:], m1.right.end))
 
 
 def add_terms(terms: dict, pairs, zero) -> dict:
@@ -189,31 +182,30 @@ class LeavittAlgebra:
             return self.graph.edge(lp[-1])
         return None
 
-    def _normal(self, raw: dict, chooser=None) -> dict:
-        """Rewrite onto the basis.  The result does not depend on the order
-        in which reducible monomials are picked; ``chooser`` exists so tests
-        can randomize that order."""
-        work = [(m, c) for m, c in raw.items() if c]
-        return add_terms({}, self._rewrite(work, chooser), self.field.zero)
+    def _normal(self, raw: dict) -> dict:
+        """Rewrite onto the basis: one ``add_terms`` over the rewrite
+        chains of all of ``raw``'s terms."""
+        return add_terms({}, self._rewrite(raw), self.field.zero)
 
-    def _rewrite(self, work: list, chooser):
-        """Drain ``work`` by the rewrite rule, yielding the basic terms."""
-        while work:
-            idx = len(work) - 1 if chooser is None else chooser(len(work))
-            m, c = work.pop(idx)
-            e = self._reducible_edge(m)
-            if e is None:
-                yield m, c
+    def _rewrite(self, raw: dict):
+        """Yield each nonzero term c m of ``raw`` as its rewrite chain.
+
+        While m = (p e, q e) ends in the same special edge e on both sides,
+        yield -c (p f, q f) for every other edge f at s(e), each already
+        basic, and go on with (p, q); then yield the last, basic monomial.
+        """
+        g = self.graph
+        for m, c in raw.items():
+            if not c:
                 continue
-            p1 = Path(m.left.start, m.left.edges[:-1], e.src)
-            q1 = Path(m.right.start, m.right.edges[:-1], e.src)
-            work.append((Monomial(p1, q1), c))
-            for f in self.graph.out_edges(e.src):
-                if f.name == e.name:
-                    continue
-                work.append(
-                    (Monomial(self.graph.extend(p1, f), self.graph.extend(q1, f)), -c)
-                )
+            while (e := self._reducible_edge(m)) is not None:
+                p = Path(m.left.start, m.left.edges[:-1], e.src)
+                q = Path(m.right.start, m.right.edges[:-1], e.src)
+                for f in g.out_edges(e.src):
+                    if f.name != e.name:
+                        yield Monomial(g.extend(p, f), g.extend(q, f)), -c
+                m = Monomial(p, q)
+            yield m, c
 
 
 class Element:

@@ -205,7 +205,7 @@ def _special_depth(special: Specialization, W: frozenset) -> int:
     """
     n = len(special.graph.vertices) - len(W)
     return max(
-        (next((len(p) for p in islice(special.walk(v), n + 1) if p.end in W), 0)
+        (next((len(p.edges) for p in islice(special.walk(v), n + 1) if p.end in W), 0)
          for v in special.graph.vertices if v not in W),
         default=0,
     )
@@ -356,7 +356,7 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
     num, den = (1, 0) if prec == INF else (prec.numerator, prec.denominator)
     raw = {}
     for left in lefts:
-        lift = 2 * len(left) * den
+        lift = 2 * len(left.edges) * den
         add_terms(raw, ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
                         for m, c, n, weight in rows[left.end] if n * den + lift < num * weight),
                   alg.field.zero)

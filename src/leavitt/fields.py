@@ -22,6 +22,9 @@ class ModInt(namedtuple("ModInt", "value modulus")):
     def __new__(cls, value: int, modulus: int):
         return tuple.__new__(cls, (value % modulus, modulus))
 
+    # so ``_replace`` and ``copy.replace`` reduce the residue too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def _check(self, other):
         if not isinstance(other, ModInt) or other.modulus != self.modulus:
             raise ValueError("mixed prime-field arithmetic")

@@ -40,6 +40,9 @@ class Path(namedtuple("Path", "start edges end")):
     ``len`` counts the edges."""
 
     __slots__ = ()
+    # for ``_replace`` and ``copy.replace``: namedtuple's ``_make`` checks
+    # ``len``, which counts edges here
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __len__(self):
         return len(self.edges)

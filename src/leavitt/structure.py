@@ -336,7 +336,7 @@ def check_vertex_idempotent_laws(alg: LeavittAlgebra, K) -> list[Verdict]:
 def _basic_monomials_between(alg: LeavittAlgebra, v: str, w: str, max_total: int):
     out = []
     for p in alg.graph.paths_from(v, max_total):
-        for q in alg.graph.paths_from(w, max_total - len(p)):
+        for q in alg.graph.paths_from(w, max_total - len(p.edges)):
             if p.end != q.end:
                 continue
             m = Monomial(p, q)

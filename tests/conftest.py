@@ -204,6 +204,50 @@ def undirected_components_by_dfs(s: Specialization) -> tuple:
     return tuple(sorted(comps, key=min))
 
 
+def normal_by_worklist(alg: LeavittAlgebra, raw: dict, chooser=None) -> dict:
+    """The normal form by a worklist over every term: pop a term (the last,
+    or the one ``chooser(len(work))`` picks), keep it if basic, otherwise
+    push (p, q) and each -c (p f, q f) back, each tested again when popped."""
+    g = alg.graph
+    work = [(m, c) for m, c in raw.items() if c]
+    out = {}
+    while work:
+        idx = len(work) - 1 if chooser is None else chooser(len(work))
+        m, c = work.pop(idx)
+        e = alg._reducible_edge(m)
+        if e is None:
+            add_terms(out, [(m, c)], alg.field.zero)
+            continue
+        p1 = Path(m.left.start, m.left.edges[:-1], e.src)
+        q1 = Path(m.right.start, m.right.edges[:-1], e.src)
+        work.append((Monomial(p1, q1), c))
+        for f in g.out_edges(e.src):
+            if f.name != e.name:
+                work.append((Monomial(g.extend(p1, f), g.extend(q1, f)), -c))
+    return out
+
+
+def _extends(prefix: Path, longer: Path) -> bool:
+    return longer.start == prefix.start and longer.edges[: len(prefix.edges)] == prefix.edges
+
+
+def monomial_product_by_extends(m1: Monomial, m2: Monomial):
+    """(p,q)(u,w) by testing which of q, u extends the other and building
+    the leftover tail as a path of its own before appending it."""
+    q, u = m1.right, m2.left
+    if len(u) >= len(q):
+        if not _extends(q, u):
+            return None
+        tail = Path(q.end, u.edges[len(q.edges):], u.end)
+        left = Path(m1.left.start, m1.left.edges + tail.edges, tail.end)
+        return Monomial(left, m2.right)
+    if not _extends(u, q):
+        return None
+    tail = Path(u.end, q.edges[len(u.edges):], q.end)
+    right = Path(m2.right.start, m2.right.edges + tail.edges, tail.end)
+    return Monomial(m1.left, right)
+
+
 def arrival_enumeration_by_bfs(g: Graph, W, max_len: int):
     """Arrival paths into W of length <= max_len, by a breadth-first search
     over every travel prefix, and whether no prefix of length max_len

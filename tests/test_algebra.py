@@ -17,7 +17,9 @@ from leavitt import (
 
 from leavitt.fields import ModInt, _is_prime
 
-from conftest import is_prime_by_trial_division, load_graph, random_element, random_monomial
+from conftest import (is_prime_by_trial_division, load_graph, monomial_product_by_extends,
+                      normal_by_worklist, random_element, random_graph, random_monomial,
+                      random_specialization)
 
 
 def mono(g, p_edges, q_edges, p_start=None, q_start=None):
@@ -109,7 +111,8 @@ def test_normal_form_supported_on_basis(alg_a, alg_b):
 
 def test_normal_form_reduction_order_independent(alg_a, alg_b):
     # push random all-special suffixes onto both paths to force rewrites,
-    # then reduce under two different selection orders
+    # then compare the rewrite chains with the worklist oracle under a
+    # random selection order
     rng = random.Random(41)
     for _ in range(1000):
         alg = alg_a if rng.random() < 0.5 else alg_b
@@ -128,9 +131,66 @@ def test_normal_form_reduction_order_independent(alg_a, alg_b):
             left = g.concat(m.left, g.path(m.left.end, suffix))
             right = g.concat(m.right, g.path(m.right.end, suffix))
             raw[Monomial(left, right)] = Fraction(rng.randint(-3, 3))
-        default = alg._normal(dict(raw))
-        shuffled = alg._normal(dict(raw), chooser=lambda n: rng.randrange(n))
-        assert default == shuffled
+        chained = alg._normal(dict(raw))
+        shuffled = normal_by_worklist(alg, dict(raw), chooser=lambda n: rng.randrange(n))
+        assert chained == shuffled
+
+
+def test_rewrite_is_one_chain_per_monomial(alg_a, monkeypatch):
+    # (e e, e e) rewrites along one chain: e e -> e -> v, each step testing
+    # one monomial; the replacements e f and f are basic and never retested
+    g = alg_a.graph
+    ee = g.path("v", ("e", "e"))
+    raw = {Monomial(ee, ee): 1}
+    calls = []
+    reducible = LeavittAlgebra._reducible_edge
+
+    def counting(self, m):
+        calls.append(m)
+        return reducible(self, m)
+
+    monkeypatch.setattr(LeavittAlgebra, "_reducible_edge", counting)
+    got = alg_a._normal(dict(raw))
+    assert len(calls) == 3
+    assert got == normal_by_worklist(alg_a, dict(raw))
+    assert render(alg_a.element(got)) == "v - f f* - e f f* e*"
+
+
+def test_monomial_product_matches_the_extends_oracle():
+    # random pairs on small graphs, so that starts often agree and the
+    # vertex-path, equal-length and other-start cases all occur
+    rng = random.Random(71)
+    seen = {"other start": 0, "equal length": 0, "vertex path": 0, "nonzero": 0}
+    for _ in range(200):
+        g = random_graph(rng, 3, 6)
+        alg = LeavittAlgebra(random_specialization(rng, g))
+        for _ in range(30):
+            m1 = random_monomial(rng, alg, 3)
+            m2 = random_monomial(rng, alg, 3)
+            got = monomial_product(m1, m2)
+            assert got == monomial_product_by_extends(m1, m2), (m1, m2)
+            q, u = m1.right, m2.left
+            seen["other start"] += q.start != u.start
+            seen["equal length"] += len(q.edges) == len(u.edges)
+            seen["vertex path"] += not q.edges or not u.edges
+            seen["nonzero"] += got is not None
+    assert min(seen.values()) > 100, seen
+
+
+def test_namedtuple_replace_runs_the_checks(toeplitz):
+    # namedtuple's _replace (and copy.replace) build through _make, which
+    # must not skip the reduction and the common-range check
+    x = ModInt(3, 7)._replace(value=10)
+    assert x == ModInt(3, 7) and x.value == 3
+    ef = toeplitz.path("v", ("e", "f"))
+    m = Monomial(ef, toeplitz.path("v", ("f",)))
+    assert m._replace(right=ef) == Monomial(ef, ef)
+    with pytest.raises(ValueError, match="common range"):
+        m._replace(right=toeplitz.vertex_path("v"))
+    if hasattr(copy, "replace"):
+        assert copy.replace(ModInt(3, 7), value=-1) == ModInt(6, 7)
+        with pytest.raises(ValueError, match="common range"):
+            copy.replace(m, left=toeplitz.path("v", ("e",)))
 
 
 def test_ring_axioms_random(alg_a):

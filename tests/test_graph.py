@@ -36,6 +36,16 @@ def test_path_keeps_its_dataclass_surface():
             assert twin == q and type(twin) is Path and hash(twin) == hash(q)
 
 
+def test_path_replace_and_make():
+    # namedtuple's own _make checks len, which counts edges, not fields
+    g = load_graph("toeplitz")
+    p = g.path("v", ("e", "f"))
+    assert p._replace(edges=("f",)) == g.path("v", ("f",))
+    assert Path._make(["w", (), "w"]) == g.vertex_path("w")
+    if hasattr(copy, "replace"):
+        assert copy.replace(p, start="v", edges=("e",), end="v") == g.path("v", ("e",))
+
+
 def test_paths_built_apart_are_one_dict_key():
     g = load_graph("toeplitz")
     a = g.path("v", ("e", "e"))
