@@ -534,12 +534,8 @@ def decompose(alg: LeavittAlgebra, K) -> DecompositionReport:
 # -- suites -------------------------------------------------------------------
 
 
-def run_suite(alg: LeavittAlgebra, suite: str, K, order=None) -> list[Verdict]:
-    """Run a named verification suite; verdicts come back sorted by name.
-
-    ``order``, if given, reorders the scheduled checks in place (such as
-    ``list.reverse``); results are order independent, and tests prove it.
-    """
+def run_suite(alg: LeavittAlgebra, suite: str, K) -> list[Verdict]:
+    """Run a named verification suite; verdicts come back sorted by name."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
     K = _require_finite(K)
@@ -547,40 +543,23 @@ def run_suite(alg: LeavittAlgebra, suite: str, K, order=None) -> list[Verdict]:
     frame = g.frame()
     V = frozenset(g.vertices)
     targets = frame if V in frame else frame + [V]  # V once, even when a frame member
-    thunks = []
-
-    def want(s):
-        return suite in ("all", s)
-
-    if want("lemma10"):
-        for W in targets:
-            thunks.append(lambda W=W: [check_central_idempotent(alg, W, K)])
-    if want("lemma14"):
+    verdicts: list[Verdict] = []
+    if suite in ("all", "lemma10"):
+        verdicts += [check_central_idempotent(alg, W, K) for W in targets]
+    if suite in ("all", "lemma14"):
         for W in frame:
             W2 = g.hereditary_complement(g.hereditary_complement(W))
-            thunks.append(lambda W=W, W2=W2: [check_collapse(alg, W, W2, K)])
-    if want("lemma15"):
-        for W in targets:
-            thunks.append(lambda W=W: [check_partition(alg, W, K)])
-    if want("lemma19"):
-        thunks.append(lambda: check_vertex_idempotent_laws(alg, K))
-    if want("lemma21"):
-        thunks.append(lambda: check_ideal_transfer(alg, K))
-    if want("lemma24"):
+            verdicts.append(check_collapse(alg, W, W2, K))
+    if suite in ("all", "lemma15"):
+        verdicts += [check_partition(alg, W, K) for W in targets]
+    if suite in ("all", "lemma19"):
+        verdicts += check_vertex_idempotent_laws(alg, K)
+    if suite in ("all", "lemma21"):
+        verdicts += check_ideal_transfer(alg, K)
+    if suite in ("all", "lemma24"):
         for W in frame:
-            thunks.append(lambda W=W: vertex_recovery(alg, W, K))
+            verdicts += vertex_recovery(alg, W, K)
     if suite == "all":
-        def assembly():
-            refusal = _refuse_frame_finite(alg, "decomposition", K)
-            if refusal is not None:
-                return [refusal]
-            return decompose(alg, K).checks
-
-        thunks.append(assembly)
-
-    if order is not None:
-        order(thunks)
-    verdicts: list[Verdict] = []
-    for thunk in thunks:
-        verdicts.extend(thunk())
+        refusal = _refuse_frame_finite(alg, "decomposition", K)
+        verdicts += [refusal] if refusal is not None else decompose(alg, K).checks
     return sorted(verdicts, key=lambda v: v.name)

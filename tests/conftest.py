@@ -26,7 +26,9 @@ from leavitt.filtration import (INF, as_order, format_order, min_order, order_of
                                  product_precision)
 from leavitt.graph import Path
 from leavitt.structure import (FAIL, PASS, REFUSED, SAMPLED_PASS, Verdict, _judge,
-                               _refuse_frame_finite, _require_finite)
+                               _refuse_frame_finite, _require_finite, check_central_idempotent,
+                               check_collapse, check_ideal_transfer, check_partition,
+                               check_vertex_idempotent_laws, decompose, vertex_recovery)
 
 ROOT = FsPath(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -515,6 +517,36 @@ def judge_by_full_bodies(name: str, K, pairs, sampled=False, note=None) -> Verdi
                        f"< {format_order(K - 1)}")
             return Verdict(name, FAIL, K, achieved, witness=witness, note=note)
     return Verdict(name, SAMPLED_PASS if sampled else PASS, K, achieved, note=note)
+
+
+def suite_all_in_order(alg: LeavittAlgebra, K, order) -> list[Verdict]:
+    """``run_suite(alg, "all", K)`` by a schedule: one callable per check,
+    listed in ``run_suite``'s order, then permuted in place by ``order``
+    (such as ``list.reverse``) before any runs.  Results do not depend on
+    the order in which the checks run; tests compare this with
+    ``run_suite`` to prove it."""
+    K = _require_finite(K)
+    g = alg.graph
+    frame = g.frame()
+    V = frozenset(g.vertices)
+    targets = frame if V in frame else frame + [V]
+    thunks = [lambda W=W: [check_central_idempotent(alg, W, K)] for W in targets]
+    for W in frame:
+        W2 = g.hereditary_complement(g.hereditary_complement(W))
+        thunks.append(lambda W=W, W2=W2: [check_collapse(alg, W, W2, K)])
+    thunks += [lambda W=W: [check_partition(alg, W, K)] for W in targets]
+    thunks.append(lambda: check_vertex_idempotent_laws(alg, K))
+    thunks.append(lambda: check_ideal_transfer(alg, K))
+    thunks += [lambda W=W: vertex_recovery(alg, W, K) for W in frame]
+
+    def assembly():
+        refusal = _refuse_frame_finite(alg, "decomposition", K)
+        return [refusal] if refusal is not None else decompose(alg, K).checks
+
+    thunks.append(assembly)
+    order(thunks)
+    verdicts = [v for thunk in thunks for v in thunk()]
+    return sorted(verdicts, key=lambda v: v.name)
 
 
 @dataclass(frozen=True)
