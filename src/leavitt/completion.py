@@ -32,7 +32,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import Element, LeavittAlgebra, Monomial, add_terms
+from .algebra import Element, LeavittAlgebra, Monomial
 from .filtration import (INF, Order, as_order, format_order, order_key, params_of,
                          product_precision)
 from .filtration import order_of  # noqa: F401  bench/selftest.py traces this binding
@@ -316,51 +316,39 @@ def _walk_vertices(alg: LeavittAlgebra, w: str, K: Order) -> frozenset:
 def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
     """Entry w of the recovery operator C applied to the vector x.
 
-    C(x)_w collects walk(k) f x(r(f)) f* walk(k)* over the special walk
+    C(x)_w collects walk(k) f x[r(f)] f* walk(k)* over the special walk
     from w and the non-special edges f at the walk's k-th vertex; the walk
-    stops at a sink, and at K = inf it must reach one.  ``x(u)`` returns the
-    operand at u.  As f is not special, wrapping a monomial with parameters
-    (n, s, d) in left = walk(k) f keeps s and d and adds 2|left| = 2(k+1)
-    to n: orders never drop, so the operand's precision passes through.
-    The wrapped order is at least 2(k+1)/(s + d + 1), so the walk stops at
-    the first k with 2(k+1) >= K * w_max, w_max the largest s + d + 1 over
-    the operands its branches can reach: the skipped indices shed only
-    order >= K.  Wrapping keeps a basic monomial basic, as each side of the
-    result ends in that side's last edge or, for a vertex, in f; so no
-    normal-form pass is needed.
-
-    The result's precision prec is the least operand precision over the
-    branches, capped at K.  It is fixed before any term is built, because
-    an operand whose precision is below K lowers the cut: a wrapped term is
-    built only if (n + 2|left|) * prec.den < prec.num * (s + d + 1), that is
-    only if its order is below prec, and at prec = inf every term is.  So
-    no built term is dropped afterwards.
+    stops at a sink, and at K = inf it must reach one.  ``x[u]`` is an exact
+    normal-form element whose terms are projections p p*; reading any other
+    term raises ``ValueError``.  As f is not special, left p, with left =
+    walk(k) f, ends in a non-special edge, so (left p)(left p)* is basic, of
+    weight s + d + 1 = 1 and order 2(|left| + |p|): no normal-form pass is
+    needed, and the walk stops at the first k with 2(k + 1) >= K.  Only the
+    terms of order below K are built, and the result has precision K.  The
+    lefts are prefix-free, as walk(k) f leaves the walk where walk(k + 1)
+    stays on it, so distinct (left, p) give distinct left p: each term is
+    stored once, with no coefficients to merge.
     """
     K = as_order(K)
     g = alg.graph
     special = alg.special
-    orbit = _walk_vertices(alg, w, K)
-    ends = {f.dst for u in orbit for f in g.out_edges(u) if not special.is_special(f.name)}
-    operands = {u: x(u) for u in ends}
-    rows = {u: [(m, c, *order_key(special, m)) for m, c in operand.body.terms.items()]
-            for u, operand in operands.items()}  # (m, c, n, s + d + 1)
-    w_max = max((weight for r in rows.values() for *_, weight in r), default=1)
-    lefts = []  # the branches walk(k) f
+    _walk_vertices(alg, w, K)
+    room = INF if K == INF else math.ceil(K / 2)  # 2n < K iff n < room
+    terms = {}
     for k, walk in enumerate(special.walk(w)):
-        if 2 * (k + 1) >= K * w_max:
+        if k + 1 >= room:
             break
-        lefts += [g.extend(walk, f) for f in g.out_edges(walk.end)
-                  if not special.is_special(f.name)]
-    prec = min(min((operands[left.end].prec for left in lefts), default=INF), K)
-    # den = 0 at prec = inf turns the keep test into 0 < num * weight
-    num, den = (1, 0) if prec == INF else (prec.numerator, prec.denominator)
-    raw = {}
-    for left in lefts:
-        lift = 2 * len(left.edges) * den
-        add_terms(raw, ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
-                        for m, c, n, weight in rows[left.end] if n * den + lift < num * weight),
-                  alg.field.zero)
-    return _held(Element(alg, raw), prec)
+        for f in g.out_edges(walk.end):
+            if special.is_special(f.name):
+                continue
+            left = g.extend(walk, f)
+            for m, c in x[f.dst].terms.items():
+                if m.left != m.right:
+                    raise ValueError(f"the recovery operator wraps projections p p*, not {m}")
+                if k + 1 + len(m.left.edges) < room:
+                    p = g.concat(left, m.left)
+                    terms[Monomial(p, p)] = c
+    return _held(Element(alg, terms), K)
 
 
 def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
@@ -379,8 +367,8 @@ def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
     def make(L):
         # C is linear, so e_v = v + C(-1)_v.  The branch monomials have
         # length >= 2 and v has order 0, so v merges into the body iff L > 0.
-        minus_one = {u: exact(-alg.vertex(u)) for u in alg.graph.vertices}
-        branches = conjugate(alg, minus_one.__getitem__, v, L).body.terms
+        minus_one = {u: -alg.vertex(u) for u in alg.graph.vertices}
+        branches = conjugate(alg, minus_one, v, L).body.terms
         head = alg.vertex(v).terms if L else {}
         return Element(alg, {**head, **branches})
 

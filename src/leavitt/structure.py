@@ -403,11 +403,10 @@ def vertex_recovery(alg: LeavittAlgebra, W, K) -> list[Verdict]:
     vertex order.
 
     C is linear, so the sum is evaluated by Horner's rule: h_0 = e and
-    h_j = e + C(h_{j-1}) to order 2(j + 1).  Every term of e, and of C
-    applied to such terms, is p p* with p a vertex or ending in a
-    non-special edge: its weight s + d + 1 is 1 and its order 2|p|.  A wrap
-    adds at least 2 to the order, so C(h_{j-1}) to order 2(j + 1) needs
-    h_{j-1} only to order 2j, which is then treated as exact.
+    h_j = e + C(h_{j-1}) to order 2(j + 1).  Every term of e, and so of
+    each h_j, is a projection p p*, the domain of ``conjugate``, whose
+    contract gives each wrap a term of order at least 2 more; so C(h_{j-1})
+    to order 2(j + 1) needs h_{j-1} only to order 2j, passed as exact.
     """
     K = _require_finite(K)
     g = alg.graph
@@ -428,8 +427,8 @@ def vertex_recovery(alg: LeavittAlgebra, W, K) -> list[Verdict]:
     e = {u: vertex_idempotent(alg, u, 2 * (steps + 1)) for u in vertices}
     h = e
     for j in range(1, steps + 1):
-        low = {u: exact(truncate(h[u].body, 2 * j).body) for u in vertices}
-        h = {u: trunc_add(e[u], conjugate(alg, low.__getitem__, u, 2 * (j + 1)))
+        low = {u: truncate(h[u].body, 2 * j).body for u in vertices}
+        h = {u: trunc_add(e[u], conjugate(alg, low, u, 2 * (j + 1)))
              for u in vertices}
     return [
         _judge(name, K, [(h[w], exact(alg.vertex(w)), f"recovery series sums to {w}")])

@@ -361,9 +361,9 @@ def _walk_branches(special: Specialization, v: str, K):
 
 
 def conjugate_by_truncation(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
-    """The recovery operator built first and cut afterwards: every operand
-    term is wrapped in every branch walk(k) f, and then the terms whose
-    ``order_of`` reaches the least operand precision (capped at K) go."""
+    """The recovery operator built first and cut afterwards: every term of
+    the operand element ``x[u]`` is wrapped in every branch walk(k) f, and
+    then the terms whose ``order_of`` reaches K go."""
     K = as_order(K)
     g = alg.graph
     special = alg.special
@@ -372,24 +372,23 @@ def conjugate_by_truncation(alg: LeavittAlgebra, x, w: str, K) -> TruncatedEleme
         raise ValueError("a special walk that reaches no sink needs a finite working precision")
     ends = {f.dst for u in orbit for f in g.out_edges(u) if not special.is_special(f.name)}
     w_max = max((s + d + 1 for u in ends for _, s, d in
-                 (params_of(special, m) for m in x(u).body.terms)), default=1)
+                 (params_of(special, m) for m in x[u].terms)), default=1)
     branches = []  # (walk(k) f, the operand at r(f))
     for k, walk in enumerate(special.walk(w)):
         if 2 * (k + 1) >= K * w_max:
             break
-        branches += [(g.extend(walk, f), x(f.dst)) for f in g.out_edges(walk.end)
+        branches += [(g.extend(walk, f), x[f.dst]) for f in g.out_edges(walk.end)
                      if not special.is_special(f.name)]
     raw = {}
     for left, operand in branches:
         wrapped = ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
-                   for m, c in operand.body.terms.items())
+                   for m, c in operand.terms.items())
         add_terms(raw, wrapped, alg.field.zero)
-    prec = min(min((operand.prec for _, operand in branches), default=INF), K)
 
     def kept(L):
         return Element(alg, {m: c for m, c in raw.items() if order_of(special, m) < L})
 
-    return TruncatedElement(alg, prec, kept)
+    return TruncatedElement(alg, K, kept)
 
 
 def conjugation_step_by_normal_form(alg: LeavittAlgebra, W, vec, Kw) -> dict:
@@ -450,7 +449,8 @@ def vertex_recovery_by_vertex(alg: LeavittAlgebra, w: str, K) -> Verdict:
     vec = {u: vertex_idempotent(alg, u, Kw) for u in sorted(member)}
     total = vec[w]
     for _ in range(steps):
-        vec = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in sorted(member)}
+        bodies = {x: t.body for x, t in vec.items()}
+        vec = {u: conjugate(alg, bodies, u, Kw) for u in sorted(member)}
         total = trunc_add(total, vec[w])
     final = truncate(total.body, min(total.prec, Fraction(2 * (steps + 1))))
     pairs = [(final, exact(alg.vertex(w)), f"recovery series sums to {w}")]
@@ -465,7 +465,8 @@ def recovery_series_by_iterates(alg: LeavittAlgebra, vertices, K) -> dict:
     vec = {u: vertex_idempotent(alg, u, Kw) for u in vertices}
     total = vec
     for _ in range(steps):
-        vec = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in vertices}
+        bodies = {x: t.body for x, t in vec.items()}
+        vec = {u: conjugate(alg, bodies, u, Kw) for u in vertices}
         total = {u: trunc_add(total[u], vec[u]) for u in vertices}
     return total
 

@@ -31,7 +31,7 @@ from leavitt import (
 
 from leavitt import completion
 from leavitt.completion import TruncatedElement, _special_depth, conjugate
-from leavitt.filtration import order_of
+from leavitt.filtration import order_key, order_of
 from leavitt.structure import _judge
 
 from conftest import (
@@ -150,14 +150,14 @@ def _fresh_makers(rng, alg):
     ]
 
     def vector():
-        return {x: vertex_idempotent(alg, x, high) for x in g.vertices}.__getitem__
+        return {x: vertex_idempotent(alg, x, high).body for x in g.vertices}
 
     makers = [
         ("exact", operands[0]),
         ("truncate", operands[2]),
         ("vertex_idempotent", operands[3]),
         ("arrival_idempotent", lambda: arrival_idempotent(alg, W, min(low, 6))),
-        ("conjugate", lambda: conjugate(alg, vector(), w, low)),
+        ("conjugate", lambda: conjugate(alg, vector(), w, min(low, high))),
     ]
     for f, h in (rng.sample(operands, 2) for _ in range(2)):
         makers.append(("trunc_add", lambda f=f, h=h: trunc_add(f(), h())))
@@ -568,6 +568,27 @@ def test_vertex_idempotent_matches_branch_oracle():
                         assert (got.body, got.prec) == (want.body, want.prec), (g, v, K)
                         calls += 1
     assert calls > 10000, calls
+
+
+def test_idempotent_terms_are_weight_one_projections():
+    # every term of e(W) and of e_v is a projection p p* of weight
+    # s + d + 1 = 1, the domain of the recovery operator ``conjugate``; on
+    # seeded random graphs under construct_regular and a random
+    # specialization, over every hereditary set W
+    rng = random.Random(17)
+    terms = 0
+    for _ in range(75):
+        g = random_graph(rng, 6, 11)
+        sets = hereditary_sets_bruteforce(g)
+        for special in (construct_regular(g), random_specialization(rng, g)):
+            alg = LeavittAlgebra(special)
+            for K in (Fraction(1, 2), 2, 3, Fraction(7, 2), 5):
+                bodies = [arrival_idempotent(alg, W, K).body for W in sets]
+                bodies += [vertex_idempotent(alg, v, K).body for v in g.vertices]
+                for m in (m for body in bodies for m in body.terms):
+                    assert m.left == m.right and order_key(special, m)[1] == 1, (special, K, m)
+                    terms += 1
+    assert terms > 10000, terms
 
 
 def test_walk_increment_orders(alg_a):

@@ -26,7 +26,7 @@ from leavitt import (
 )
 from leavitt import completion, structure
 from leavitt.algebra import Element
-from leavitt.completion import conjugate, exact, truncate
+from leavitt.completion import conjugate, truncate
 
 from conftest import (
     CORPUS,
@@ -298,7 +298,8 @@ def test_conjugation_step_needs_no_normal_form():
             Kw = 7
             vec = {u: vertex_idempotent(alg, u, Kw) for u in sorted(W)}
             for _ in range(3):
-                got = {u: conjugate(alg, vec.__getitem__, u, Kw) for u in sorted(W)}
+                bodies = {x: t.body for x, t in vec.items()}
+                got = {u: conjugate(alg, bodies, u, Kw) for u in sorted(W)}
                 want = conjugation_step_by_normal_form(alg, W, vec, Kw)
                 assert {w: (t.body, t.prec) for w, t in got.items()} == {
                     w: (t.body, t.prec) for w, t in want.items()}
@@ -308,11 +309,12 @@ def test_conjugation_step_needs_no_normal_form():
     assert steps > 100, steps
 
 
-def test_conjugate_passes_operand_precision_through(alg_a):
+def test_conjugate_precision_is_the_callers_K(alg_a):
     # under gammaA the walk from v loops on e and branches by f into the
-    # sink w; an operand known to order 3 caps the result at 3, which
-    # keeps f f* (order 2) and drops e f f* e* (order 4)
-    got = conjugate(alg_a, lambda u: truncate(alg_a.vertex(u), 3), "v", 7)
+    # sink w; the caller's K = 3 is the result's precision, which keeps
+    # f f* (order 2) and drops e f f* e* (order 4)
+    x = {u: alg_a.vertex(u) for u in alg_a.graph.vertices}
+    got = conjugate(alg_a, x, "v", 3)
     assert (got.body, got.prec) == (parse(alg_a, "f f*"), 3)
 
 
@@ -322,54 +324,48 @@ def _rose_with_special_p0():
 
 
 def test_conjugate_cut_respects_operand_weight():
-    # the operand p1 = p1 r* has weight s + d + 1 = 2, so walk index k wraps
-    # it to p0^k p1 p1 p1* (p0*)^k of order (2k + 3)/2: the walk has to run
-    # until 2(k+1) >= 2K, and stopping at 2(k+1) >= K would drop terms of
-    # order 5/2 < 4 and 3/2 < 2
+    # the operand p1 = p1 r* has weight s + d + 1 = 2, outside the
+    # operator's domain of projections p p* (weight 1), and is refused; the
+    # projection p1 p1* wraps at walk index k to p0^k p1 p1 p1* p1* (p0*)^k
+    # of order 2(k + 2), and every level keeps exactly the terms below it
     alg = _rose_with_special_p0()
-    x = {"r": exact(alg.edge("p1"))}
-    got = conjugate(alg, x.__getitem__, "r", 4)
-    want = "p1 p1 p1* + p0 p1 p1 p1* p0* + p0 p0 p1 p1 p1* p0* p0*"
-    assert (got.body, got.prec) == (parse(alg, want), 4)
-    got = conjugate(alg, x.__getitem__, "r", 2)
-    assert (got.body, got.prec) == (parse(alg, "p1 p1 p1*"), 2)
-    # every level keeps exactly the terms of order below it
-    far = conjugate(alg, x.__getitem__, "r", 12)
+    with pytest.raises(ValueError, match="projections p p\\*, not p1$"):
+        conjugate(alg, {"r": alg.edge("p1")}, "r", 4)
+    x = {"r": parse(alg, "p1 p1*")}
+    got = conjugate(alg, x, "r", 7)
+    want = "p1 p1 p1* p1* + p0 p1 p1 p1* p1* p0*"
+    assert (got.body, got.prec) == (parse(alg, want), 7)
+    far = conjugate(alg, x, "r", 12)
     for K in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(7, 2), 5, 8):
-        got = conjugate(alg, x.__getitem__, "r", K)
+        got = conjugate(alg, x, "r", K)
         assert (got.body, got.prec) == (truncate(far.body, K).body, K), K
 
 
-def _operand_at(rng, alg, u, K):
-    """A normal-form operand at u for ``conjugate``: u's vertex idempotent,
-    an exact loop at u (an edge e = e u* of weight 2, or 3 if e is special)
-    or a random element of u A u; the last two are kept exact, at K or
-    below K."""
+def _operand_at(rng, alg, u):
+    """An operand at u for ``conjugate``, an exact sum of projections
+    p p*: the body of u's vertex idempotent at a random level, e e* for a
+    loop e at u, or the normal form of a random sum of c p p* over paths p
+    from u (rewriting a projection leaves projections)."""
     g = alg.graph
     loops = [e.name for e in g.out_edges(u) if e.dst == u]
     kind = rng.choice(("idempotent", "loop", "element") if loops else ("idempotent", "element"))
-    low = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-    if K != INF:
-        low = min(low, K)
     if kind == "idempotent":
-        return vertex_idempotent(alg, u, rng.choice((K, low)) if K != INF else low + 2)
+        return vertex_idempotent(alg, u, Fraction(rng.randint(0, 7), rng.randint(1, 3))).body
     if kind == "loop":
-        return exact(alg.edge(rng.choice(loops)))
+        p = g.path(u, [rng.choice(loops)])
+        return alg.element({Monomial(p, p): 1})
     pairs = []
     for _ in range(rng.randint(1, 4)):
         p = random_path(rng, g, u, 3)
-        q = random_path(rng, g, u, 3)
-        if p.end == q.end:
-            pairs.append((Monomial(p, q), rng.choice((-1, 1, 2, 3))))
-    body = alg.element(pairs)
-    return rng.choice((exact(body), truncate(body, low), truncate(body, K)))
+        pairs.append((Monomial(p, p), rng.choice((-1, 1, 2, 3))))
+    return alg.element(pairs)
 
 
 def test_conjugate_matches_truncation_oracle():
-    # conjugate builds only the wrapped terms below the precision; building
-    # them all and truncating afterwards gives the same (body, prec), on the
-    # corpus and on seeded random graphs under a random specialization and
-    # under construct_regular, over QQ and (every third graph) F_7
+    # conjugate builds only the wrapped terms below K; building them all
+    # and truncating afterwards gives the same (body, prec), on the corpus
+    # and on seeded random graphs under a random specialization and under
+    # construct_regular, over QQ and (every third graph) F_7
     rng = random.Random(33)
     specials = [construct_regular(load_graph(name)) for name in CORPUS]
     for _ in range(80):
@@ -380,24 +376,23 @@ def test_conjugate_matches_truncation_oracle():
         alg = LeavittAlgebra(special, PrimeField(7) if i % 3 == 2 else QQ)
         g = alg.graph
         for K in (0, Fraction(1, 2), 1, Fraction(7, 3), 5, 12, INF):
-            vec = {u: _operand_at(rng, alg, u, K) for u in g.vertices}
+            vec = {u: _operand_at(rng, alg, u) for u in g.vertices}
             for w in g.vertices:
                 if K == INF and not special.orbit_vertices(w) & g.sinks():
                     continue
-                got = conjugate(alg, vec.__getitem__, w, K)
-                want = conjugate_by_truncation(alg, vec.__getitem__, w, K)
+                got = conjugate(alg, vec, w, K)
+                want = conjugate_by_truncation(alg, vec, w, K)
                 assert (got.body, got.prec) == (want.body, want.prec), (special, w, K)
-                seen["inf" if K == INF else "cut below K" if got.prec < K else "K"] += \
-                    bool(got.body.terms)
-    assert min(seen.values()) > 20 and len(seen) == 3, seen
+                seen["inf" if K == INF else "K"] += bool(got.body.terms)
+    assert min(seen.values()) > 20 and len(seen) == 2, seen
 
 
 def test_recovery_builds_no_term_it_drops(monkeypatch):
-    # every wrapped term takes two Graph.concat calls, and conjugate builds
-    # only the terms it returns: on rose(4) at K=12 the whole recovery
-    # series, its vertex idempotents included, makes exactly two concat
-    # calls per returned term (building first made 268,668 calls for 8,172
-    # terms kept by the series' own conjugate calls)
+    # every wrapped term (left p)(left p)* takes one Graph.concat call, and
+    # conjugate builds only the terms it returns: on rose(4) at K=12 the
+    # whole recovery series, its vertex idempotents included, makes exactly
+    # one concat call per returned term (building first made 268,668 calls
+    # for 8,172 terms kept by the series' own conjugate calls)
     alg = LeavittAlgebra(construct_regular(family_graph("rose", 4)))
     concat_calls = []
     returned = []
@@ -418,25 +413,26 @@ def test_recovery_builds_no_term_it_drops(monkeypatch):
     [verdict] = vertex_recovery(alg, {"r"}, 12)
     assert verdict.status == "pass"
     assert len(returned) == 1 + 6  # the vertex idempotent, then ceil(12/2) steps
-    assert len(concat_calls) == 2 * sum(returned) > 0, (len(concat_calls), sum(returned))
+    assert len(concat_calls) == sum(returned) > 0, (len(concat_calls), sum(returned))
 
 
 def test_infinite_precision_needs_a_walk_to_a_sink(alg_b):
     alg = _rose_with_special_p0()
     calls = []
 
-    def x(u):
-        calls.append(u)
-        assert len(calls) < 100, "conjugate kept walking the special loop"
-        return exact(alg.edge("p1"))
+    class Counting(dict):
+        def __getitem__(self, u):
+            calls.append(u)
+            assert len(calls) < 100, "conjugate kept walking the special loop"
+            return super().__getitem__(u)
 
     with pytest.raises(ValueError, match="finite working precision"):
-        conjugate(alg, x, "r", INF)
+        conjugate(alg, Counting(r=parse(alg, "p1 p1*")), "r", INF)
     with pytest.raises(ValueError, match="finite working precision"):
         vertex_idempotent(alg, "r", INF)
     # under gammaB the walk from v takes the special f into the sink w
-    minus_one = {u: exact(-alg_b.vertex(u)) for u in alg_b.graph.vertices}
-    assert conjugate(alg_b, minus_one.__getitem__, "v", INF).render() == "-e e*"
+    minus_one = {u: -alg_b.vertex(u) for u in alg_b.graph.vertices}
+    assert conjugate(alg_b, minus_one, "v", INF).render() == "-e e*"
     assert vertex_idempotent(alg_b, "v", INF).render() == "v - e e*"
 
 
