@@ -17,6 +17,7 @@ which is the vertex relation at s(c) rearranged.  A vertex has exactly one
 special edge, so every replacement (p f, q f) ends in a non-special edge
 and is already basic: only (p, q) may be rewritten again.  Each monomial
 therefore rewrites along a single chain, of at most min(l(p), l(q)) steps.
+A new element or product merges its coefficients once, over all the chains.
 """
 
 from __future__ import annotations
@@ -167,8 +168,7 @@ class LeavittAlgebra:
         """Build an element from monomial/coefficient pairs, normalized."""
         items = terms.items() if isinstance(terms, dict) else terms
         coerce = self.field.coerce
-        raw = add_terms({}, ((m, coerce(c)) for m, c in items), self.field.zero)
-        return Element(self, self._normal(raw))
+        return Element(self, self._normal((m, coerce(c)) for m, c in items))
 
     # -- rewriting ----------------------------------------------------------
 
@@ -182,22 +182,21 @@ class LeavittAlgebra:
             return self.graph.edge(lp[-1])
         return None
 
-    def _normal(self, raw: dict) -> dict:
-        """Rewrite onto the basis: one ``add_terms`` over the rewrite
-        chains of all of ``raw``'s terms."""
-        return add_terms({}, self._rewrite(raw), self.field.zero)
+    def _normal(self, pairs) -> dict:
+        """Rewrite (monomial, coefficient) pairs, which may repeat, cancel or
+        be zero, onto the basis: one ``add_terms`` over their rewrite chains
+        is the only merge."""
+        return add_terms({}, self._rewrite(pairs), self.field.zero)
 
-    def _rewrite(self, raw: dict):
-        """Yield each nonzero term c m of ``raw`` as its rewrite chain.
+    def _rewrite(self, pairs):
+        """Yield each pair (m, c) as its rewrite chain.
 
         While m = (p e, q e) ends in the same special edge e on both sides,
         yield -c (p f, q f) for every other edge f at s(e), each already
         basic, and go on with (p, q); then yield the last, basic monomial.
         """
         g = self.graph
-        for m, c in raw.items():
-            if not c:
-                continue
+        for m, c in pairs:
             while (e := self._reducible_edge(m)) is not None:
                 p = Path(m.left.start, m.left.edges[:-1], e.src)
                 q = Path(m.right.start, m.right.edges[:-1], e.src)
@@ -264,14 +263,11 @@ class Element:
         if not isinstance(other, Element):
             return self.scale(other)
         self._check(other)
-        products = (
+        return Element(self.algebra, self.algebra._normal(
             (m, c1 * c2)
             for m1, c1 in self.terms.items()
             for m2, c2 in other.terms.items()
-            if (m := monomial_product(m1, m2)) is not None
-        )
-        raw = add_terms({}, products, self.algebra.field.zero)
-        return Element(self.algebra, self.algebra._normal(raw))
+            if (m := monomial_product(m1, m2)) is not None))
 
     def star(self) -> "Element":
         """The involution: swaps each monomial's paths, fixes coefficients."""

@@ -8,9 +8,10 @@ body itself only keeps terms of order < K, and ``prec == inf`` means the
 value is exact.  The precision is fixed when the element is made; terms
 are built only when read.  ``below(L)`` returns the body's terms of order
 below a level L <= prec, and ``body`` is ``below(prec)``.  Products, sums
-and vertex idempotents defer their terms, so a caller that reads only
-precisions, as working-precision escalation does, forms none of them, and
-a caller that reads below L forms only what that level needs.
+and vertex idempotents defer their terms, and a caller that reads below L
+forms only what that level needs.  A product of two inexact operands reads
+both bodies to fix its precision, so even working-precision escalation,
+which reads only precisions, forms those operands.
 
 Precision propagates through products via ``product_precision`` plus one
 unit of slack: rewriting a dropped-tail product onto the storage basis can
@@ -180,9 +181,11 @@ def equal_mod(a: TruncatedElement, b: TruncatedElement, K) -> bool:
     """Congruence at level K: bodies agree down to order K - 1.
 
     Each side is read below max(K - 1, 0), the only terms the congruence
-    compares.  K may not exceed either operand's precision; such a request
-    could not be answered soundly and raises instead.
+    compares, and the reads are compared term by term: a normal form is
+    unique, and no stored element holds a zero coefficient.  K may not
+    exceed either operand's precision; such a request raises instead.
     """
+    _common_algebra(a, b)
     K = as_order(K)
     if K > min(a.prec, b.prec):
         raise ValueError(
@@ -190,7 +193,7 @@ def equal_mod(a: TruncatedElement, b: TruncatedElement, K) -> bool:
             f"{format_order(min(a.prec, b.prec))}"
         )
     L = _minus_slack(K)
-    return (a.below(L) - b.below(L)).is_zero
+    return a.below(L) == b.below(L)
 
 
 # -- arrival paths and their idempotents -----------------------------------

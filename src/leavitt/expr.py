@@ -199,7 +199,7 @@ class _Parser:
             return self.algebra.zero()
         mid = names[left[-1]][1] if left else start
         m = Monomial(Path(start, tuple(left), mid), Path(at, tuple(reversed(ghosts)), mid))
-        return Element(self.algebra, self.algebra._normal({m: c}))
+        return Element(self.algebra, self.algebra._normal(((m, c),)))
 
     def group(self) -> Element:
         self.pos += 1

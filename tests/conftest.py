@@ -9,7 +9,7 @@ from pathlib import Path as FsPath
 import pytest
 
 from leavitt import Graph, LeavittAlgebra, Monomial, Specialization, construct_regular
-from leavitt.algebra import Element, add_terms
+from leavitt.algebra import Element, add_terms, monomial_product
 from leavitt.completion import (
     TruncatedElement,
     _enumeration_cutoff,
@@ -227,6 +227,16 @@ def normal_by_worklist(alg: LeavittAlgebra, raw: dict, chooser=None) -> dict:
             if f.name != e.name:
                 work.append((Monomial(g.extend(p1, f), g.extend(q1, f)), -c))
     return out
+
+
+def product_by_premerge(a: Element, b: Element) -> Element:
+    """a b by merging the structural products into a dict with
+    ``add_terms`` before normalising the merged terms."""
+    alg = a.algebra
+    products = ((m, c1 * c2) for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()
+                if (m := monomial_product(m1, m2)) is not None)
+    raw = add_terms({}, products, alg.field.zero)
+    return Element(alg, alg._normal(raw.items()))
 
 
 def _extends(prefix: Path, longer: Path) -> bool:

@@ -113,7 +113,7 @@ def test_criterion_03_rewriting_soundness(alg_a, alg_b):
             left = g.concat(m.left, g.path(m.left.end, suffix))
             right = g.concat(m.right, g.path(m.right.end, suffix))
             raw[Monomial(left, right)] = Fraction(rng.randint(-3, 3))
-        assert alg._normal(dict(raw)) == normal_by_worklist(
+        assert alg._normal(raw.items()) == normal_by_worklist(
             alg, dict(raw), chooser=lambda n: rng.randrange(n)
         )
         reductions += 1

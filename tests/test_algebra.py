@@ -15,11 +15,13 @@ from leavitt import (
     render,
 )
 
+from leavitt import algebra
+from leavitt.algebra import add_terms
 from leavitt.fields import ModInt, _is_prime
 
 from conftest import (is_prime_by_trial_division, load_graph, monomial_product_by_extends,
-                      normal_by_worklist, random_element, random_graph, random_monomial,
-                      random_specialization)
+                      normal_by_worklist, product_by_premerge, random_element, random_graph,
+                      random_monomial, random_specialization)
 
 
 def mono(g, p_edges, q_edges, p_start=None, q_start=None):
@@ -112,8 +114,12 @@ def test_normal_form_supported_on_basis(alg_a, alg_b):
 def test_normal_form_reduction_order_independent(alg_a, alg_b):
     # push random all-special suffixes onto both paths to force rewrites,
     # then compare the rewrite chains with the worklist oracle under a
-    # random selection order
+    # random selection order.  The same monomials also go in as a pair
+    # stream over QQ or F_7 that repeats them, holds zero coefficients and
+    # cancelling pairs: its normal form is the oracle's on the merged dict.
     rng = random.Random(41)
+    mix = random.Random(43)
+    f7 = {alg: LeavittAlgebra(alg.special, PrimeField(7)) for alg in (alg_a, alg_b)}
     for _ in range(1000):
         alg = alg_a if rng.random() < 0.5 else alg_b
         g = alg.graph
@@ -131,9 +137,19 @@ def test_normal_form_reduction_order_independent(alg_a, alg_b):
             left = g.concat(m.left, g.path(m.left.end, suffix))
             right = g.concat(m.right, g.path(m.right.end, suffix))
             raw[Monomial(left, right)] = Fraction(rng.randint(-3, 3))
-        chained = alg._normal(dict(raw))
+        chained = alg._normal(raw.items())
         shuffled = normal_by_worklist(alg, dict(raw), chooser=lambda n: rng.randrange(n))
         assert chained == shuffled
+        over = mix.choice([alg, f7[alg]])
+        coerce = over.field.coerce
+        pairs = []
+        for m, c in raw.items():
+            part = mix.randint(-9, 9)
+            pairs += [(m, coerce(part)), (m, coerce(int(c) - part)), (m, coerce(0))]
+            pairs += [(m, coerce(part)), (m, coerce(-part))]
+        mix.shuffle(pairs)
+        merged = add_terms({}, pairs, over.field.zero)
+        assert over._normal(iter(pairs)) == normal_by_worklist(over, merged)
 
 
 def test_rewrite_is_one_chain_per_monomial(alg_a, monkeypatch):
@@ -150,10 +166,39 @@ def test_rewrite_is_one_chain_per_monomial(alg_a, monkeypatch):
         return reducible(self, m)
 
     monkeypatch.setattr(LeavittAlgebra, "_reducible_edge", counting)
-    got = alg_a._normal(dict(raw))
+    got = alg_a._normal(raw.items())
     assert len(calls) == 3
     assert got == normal_by_worklist(alg_a, dict(raw))
     assert render(alg_a.element(got)) == "v - f f* - e f f* e*"
+
+
+def test_product_streams_into_one_merge(alg_a, alg_b, monkeypatch):
+    # a b streams its structural products, repeats included, into the
+    # normal form's one add_terms; merging them into a dict first is the
+    # oracle, over QQ and F_7
+    rng = random.Random(47)
+    algs = [alg_a, alg_b] + [LeavittAlgebra(alg.special, PrimeField(7)) for alg in (alg_a, alg_b)]
+    repeats = 0
+    for _ in range(400):
+        alg = rng.choice(algs)
+        a = random_element(rng, alg, terms=4, max_len=3)
+        b = random_element(rng, alg, terms=4, max_len=3)
+        hits = [m for m1 in a.terms for m2 in b.terms
+                if (m := monomial_product(m1, m2)) is not None]
+        repeats += len(set(hits)) < len(hits)
+        assert a * b == product_by_premerge(a, b)
+    assert repeats > 20
+    calls = []
+
+    def counting(terms, pairs, zero):
+        calls.append(terms)
+        return add_terms(terms, pairs, zero)
+
+    a = parse(alg_a, "e + e e* + 2 f f* - e e e* e*")
+    b = a.star()
+    monkeypatch.setattr(algebra, "add_terms", counting)
+    a * b
+    assert len(calls) == 1
 
 
 def test_monomial_product_matches_the_extends_oracle():

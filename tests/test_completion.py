@@ -30,6 +30,7 @@ from leavitt import (
 )
 
 from leavitt import completion
+from leavitt.algebra import Element
 from leavitt.completion import TruncatedElement, _special_depth, conjugate
 from leavitt.filtration import order_key, order_of
 from leavitt.structure import _judge
@@ -302,6 +303,24 @@ def test_equal_mod_basic(alg_a):
     b = truncate(parse(alg_a, "v"), 2)
     with pytest.raises(ValueError, match="exceeds available precision"):
         equal_mod(a, b, 3)
+
+
+def test_passing_congruence_forms_no_difference(alg_a, alg_b, monkeypatch):
+    # a normal form is unique, so a congruence compares the two reads as
+    # they are: it forms neither a difference nor a sum
+    pairs = [
+        (arrival_idempotent(alg_b, {"w"}, 2), exact(alg_b.one()), 2),
+        (exact(parse(alg_a, "v - f f*")),
+         truncate(parse(alg_a, "v - f f* + e e f f* e* e*"), 3), 3),
+    ]
+
+    def forbidden(self, other):
+        raise AssertionError("equal_mod formed a sum or a difference")
+
+    monkeypatch.setattr(Element, "__sub__", forbidden)
+    monkeypatch.setattr(Element, "__add__", forbidden)
+    for a, b, K in pairs:
+        assert equal_mod(a, b, K)
 
 
 def test_equal_mod_toeplitz_counterexample(alg_a, alg_b):
@@ -644,3 +663,5 @@ def test_render_with_tail_marker(alg_a):
 def test_mixed_specializations_rejected(alg_a, alg_b):
     with pytest.raises(ValueError, match="different algebras"):
         trunc_add(exact(alg_a.one()), exact(alg_b.one()))
+    with pytest.raises(ValueError, match="different algebras"):
+        equal_mod(exact(alg_a.one()), exact(alg_b.one()), 2)

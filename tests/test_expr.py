@@ -198,9 +198,9 @@ def test_one_normalisation_per_term(alg_a, monkeypatch):
     calls = []
     normal = LeavittAlgebra._normal
 
-    def counting(self, raw):
-        calls.append(len(raw))
-        return normal(self, raw)
+    def counting(self, pairs):
+        calls.append(pairs)
+        return normal(self, pairs)
 
     monkeypatch.setattr(LeavittAlgebra, "_normal", counting)
     text = "2 e e f - 1/2 e* + e f f* e* - 3 v e e e* + e* e f f*"
