@@ -194,6 +194,17 @@ class LeavittAlgebra:
         While m = (p e, q e) ends in the same special edge e on both sides,
         yield -c (p f, q f) for every other edge f at s(e), each already
         basic, and go on with (p, q); then yield the last, basic monomial.
+
+        Every monomial of the chain of m has order > ord(m) - 1: this is
+        the one level of slack of ``completion``.  Write m = (p t, q t),
+        with t the run of j special edges that the chain strips, and let n
+        and w = s + d + 1 be the order parameters of (p, q).  As t is
+        special, ord(m) = (n + 2j)/(w + 2j).  The last monomial (p, q) has
+        order n/w, which is >= ord(m) when n >= w; otherwise ord(m) - n/w =
+        [2j/(w + 2j)] [(w - n)/w] < 1.  The side monomial (p t' f, q t' f)
+        of step i has f not special and |t'| = i - 1, so its order
+        (n + 2i)/(d + 1) is >= (n + 2i)/(w + 2i), which lies between n/w
+        and ord(m).  Merging the chains into a normal form only cancels.
         """
         g = self.graph
         for m, c in pairs:

@@ -260,7 +260,12 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
     decides before any term is built.  Otherwise terms of order >= K are
     dropped, and early: a term p p* of F(u, d, r) other than u ends in a
     non-special edge, so wrapping never rewrites it and its order ends up
-    2(d + |p|) >= 2(d + 1).
+    2(d + |p|) >= 2(d + 1).  The body kept is held at precision K with no
+    cut after: by induction from the deepest level, every such term has
+    2(d + |p|) < K, as a child's terms gain one edge when wrapped and new
+    terms of length 1 are kept only while 2(d + 1) < K.  So at d = 0 each
+    term has order 2|p| < K or is a vertex, of order 0, and K = 0 leaves
+    no live state.
     """
     K = as_order(K)
     g = alg.graph
@@ -304,7 +309,7 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
             here[u, r] = terms
         below = here
     body = Element(alg, {m: c for terms in below.values() for m, c in terms.items()})
-    return truncate(body, K) if inexact else exact(body)
+    return _held(body, K) if inexact else exact(body)
 
 
 def _walk_vertices(alg: LeavittAlgebra, w: str, K: Order) -> frozenset:

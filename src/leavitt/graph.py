@@ -142,9 +142,6 @@ class Graph:
         except KeyError:
             raise ValueError(f"unknown edge {name!r}") from None
 
-    def has_edge(self, name: str) -> bool:
-        return name in self._edge_by_name
-
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         self.check_vertex(v)
         return self._out[v]

@@ -5,9 +5,12 @@ Every check produces a ``Verdict`` with a three-valued outcome: ``pass``,
 marks a passing check whose statement was only sampled).  A check never
 silently degrades: the working precision of the inputs is escalated until
 the product-precision bookkeeping certifies the requested level, and the
-verdict records the precision actually achieved.  Congruences follow the
-one-unit slack discipline of ``equal_mod``: a pass at level K certifies
-that every residual basis term has order at least K - 1.
+verdict records the precision actually achieved.  A round at working
+precision Kw builds only the operands that depend on Kw: generators,
+edges and sampled monomials are made once per check call, and the laws of
+one lemma 19 or lemma 21 check share one map of e_v per Kw.  Congruences
+follow the one-unit slack discipline of ``equal_mod``: a pass at level K
+certifies that every residual basis term has order at least K - 1.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial, reduce
 
 from .algebra import LeavittAlgebra, Monomial
 from .completion import (
@@ -182,19 +186,16 @@ def check_central_idempotent(alg: LeavittAlgebra, W, K) -> Verdict:
     refusal = _refuse_not_hereditary(alg, name, K, W)
     if refusal is not None:
         return refusal
+    generators = [(v, exact(alg.vertex(v))) for v in alg.graph.vertices]
+    for e in alg.graph.edges:
+        generators += [(e.name, exact(alg.edge(e.name))), (f"{e.name}*", exact(alg.ghost(e.name)))]
 
     def pairs_at(Kw):
         eW = arrival_idempotent(alg, W, Kw)
-        pairs = [(trunc_mul(eW, eW), eW, "e(W)^2 = e(W)")]
-        for v in alg.graph.vertices:
-            x = exact(alg.vertex(v))
-            pairs.append((trunc_mul(x, eW), trunc_mul(eW, x), f"{v} commutes with e(W)"))
-        for e in alg.graph.edges:
-            x = exact(alg.edge(e.name))
-            pairs.append((trunc_mul(x, eW), trunc_mul(eW, x), f"{e.name} commutes with e(W)"))
-            x = exact(alg.ghost(e.name))
-            pairs.append((trunc_mul(x, eW), trunc_mul(eW, x), f"{e.name}* commutes with e(W)"))
-        return pairs
+        return [(trunc_mul(eW, eW), eW, "e(W)^2 = e(W)")] + [
+            (trunc_mul(x, eW), trunc_mul(eW, x), f"{label} commutes with e(W)")
+            for label, x in generators
+        ]
 
     return _certify(name, K, pairs_at)
 
@@ -208,15 +209,16 @@ def check_partition(alg: LeavittAlgebra, W, K) -> Verdict:
     if refusal is not None:
         return refusal
     Wp = alg.graph.hereditary_complement(W)
+    zero = exact(alg.zero())
+    one = exact(alg.one())
 
     def pairs_at(Kw):
         eW = arrival_idempotent(alg, W, Kw)
-        eWp = arrival_idempotent(alg, Wp, Kw) if Wp else exact(alg.zero())
-        zero = exact(alg.zero())
+        eWp = arrival_idempotent(alg, Wp, Kw) if Wp else zero
         return [
             (trunc_mul(eW, eWp), zero, "e(W) e(W^perp) = 0"),
             (trunc_mul(eWp, eW), zero, "e(W^perp) e(W) = 0"),
-            (trunc_add(eW, eWp), exact(alg.one()), "e(W) + e(W^perp) = 1"),
+            (trunc_add(eW, eWp), one, "e(W) + e(W^perp) = 1"),
         ]
 
     return _certify(name, K, pairs_at)
@@ -264,8 +266,21 @@ def check_collapse(alg: LeavittAlgebra, W1, W2, K) -> Verdict:
 # -- vertex idempotents -------------------------------------------------------
 
 
-def _vertex_idempotents_at(alg: LeavittAlgebra, Kw) -> dict[str, TruncatedElement]:
-    return {v: vertex_idempotent(alg, v, Kw) for v in alg.graph.vertices}
+def _law_pairs(ev_at, law, Kw):
+    """The (lhs, rhs, label) pairs of a law of the e_v at Kw.
+
+    A law lists (lhs, rhs, label), each side a word of factors: a vertex v
+    stands for e_v in the map ``ev_at(Kw)``, and any other factor is a
+    truncated element that does not depend on Kw, made once per check call.
+    Each side is the product of its word, left to right.  The laws of one
+    call share ``ev_at``, a cache that builds one map per Kw.
+    """
+    ev = ev_at(Kw)
+
+    def side(word):
+        return reduce(trunc_mul, [ev[x] if isinstance(x, str) else x for x in word])
+
+    return [(side(lhs), side(rhs), label) for lhs, rhs, label in law]
 
 
 def check_vertex_idempotent_laws(alg: LeavittAlgebra, K) -> list[Verdict]:
@@ -277,17 +292,17 @@ def check_vertex_idempotent_laws(alg: LeavittAlgebra, K) -> list[Verdict]:
     """
     K = _require_finite(K)
     g = alg.graph
+    V = g.vertices
     special = alg.special
     zero = exact(alg.zero())
+    edge = {e.name: exact(alg.edge(e.name)) for e in g.edges}
+    ev_at = cache(lambda Kw: {v: vertex_idempotent(alg, v, Kw) for v in g.vertices})
 
-    def idem_pairs(Kw):
-        ev = _vertex_idempotents_at(alg, Kw)
-        return [(trunc_mul(ev[v], ev[v]), ev[v], f"e_{v}^2 = e_{v}") for v in g.vertices]
-
-    pairs = _escalated(K, idem_pairs)
+    idempotent = [((v, v), (v,), f"e_{v}^2 = e_{v}") for v in V]
+    pairs = _escalated(K, partial(_law_pairs, ev_at, idempotent))
     verdict = _judge("vertex-idempotent", K, pairs)
     if verdict.status == PASS:
-        for v, (_, ev, _) in zip(g.vertices, pairs):
+        for v, (_, ev, _) in zip(V, pairs):
             coeff = ev.body.coefficient(Monomial(g.vertex_path(v), g.vertex_path(v)))
             if coeff != alg.field.one:
                 verdict = Verdict(
@@ -296,41 +311,18 @@ def check_vertex_idempotent_laws(alg: LeavittAlgebra, K) -> list[Verdict]:
                 )
                 break
 
-    def orth_pairs(Kw):
-        ev = _vertex_idempotents_at(alg, Kw)
-        return [
-            (trunc_mul(ev[v], ev[w]), zero, f"e_{v} e_{w} = 0")
-            for v in g.vertices
-            for w in g.vertices
-            if v != w
-        ]
-
-    def nonspecial_pairs(Kw):
-        ev = _vertex_idempotents_at(alg, Kw)
-        pairs = []
-        for v in g.vertices:
-            for e in g.out_edges(v):
-                if not special.is_special(e.name):
-                    pairs.append(
-                        (trunc_mul(ev[v], exact(alg.edge(e.name))), zero, f"e_{v} {e.name} = 0")
-                    )
-        return pairs
-
-    def shift_pairs(Kw):
-        ev = _vertex_idempotents_at(alg, Kw)
-        pairs = []
-        for v, name in special.mapping.items():
-            e = exact(alg.edge(name))
-            w = g.edge(name).dst
-            pairs.append((trunc_mul(ev[v], e), trunc_mul(e, ev[w]), f"e_{v} {name} = {name} e_{w}"))
-        return pairs
-
-    return [
-        verdict,
-        _certify("vertex-orthogonal", K, orth_pairs),
-        _certify("nonspecial-annihilates", K, nonspecial_pairs),
-        _certify("special-shifts", K, shift_pairs),
-    ]
+    special_edges = [(v, g.edge(name)) for v, name in special.mapping.items()]
+    laws = {
+        "vertex-orthogonal": [((v, w), (zero,), f"e_{v} e_{w} = 0")
+                              for v in V for w in V if v != w],
+        "nonspecial-annihilates": [((v, edge[e.name]), (zero,), f"e_{v} {e.name} = 0")
+                                   for v in V for e in g.out_edges(v)
+                                   if not special.is_special(e.name)],
+        "special-shifts": [((v, edge[e.name]), (edge[e.name], e.dst),
+                            f"e_{v} {e.name} = {e.name} e_{e.dst}") for v, e in special_edges],
+    }
+    return [verdict] + [_certify(name, K, partial(_law_pairs, ev_at, law))
+                        for name, law in laws.items()]
 
 
 def _basic_monomials_between(alg: LeavittAlgebra, v: str, w: str, max_total: int):
@@ -356,33 +348,26 @@ def check_ideal_transfer(alg: LeavittAlgebra, K) -> list[Verdict]:
     special = alg.special
     comps = special.undirected_components()
     comp_of = {v: i for i, S in enumerate(comps) for v in S}
+    zero = exact(alg.zero())
+    ev_at = cache(lambda Kw: {v: vertex_idempotent(alg, v, Kw) for v in g.vertices})
 
-    def transfer_pairs(Kw):
-        ev = _vertex_idempotents_at(alg, Kw)
-        pairs = []
-        for v, name in special.mapping.items():
-            w = g.edge(name).dst
-            conj = trunc_mul(trunc_mul(exact(alg.ghost(name)), ev[v]), exact(alg.edge(name)))
-            pairs.append((ev[w], conj, f"e_{w} = {name}* e_{v} {name}"))
-        return pairs
-
-    def separation_pairs(Kw):
-        ev = _vertex_idempotents_at(alg, Kw)
-        zero = exact(alg.zero())
-        pairs = []
-        for v in g.vertices:
-            for w in g.vertices:
-                if comp_of[v] == comp_of[w]:
-                    continue
-                for m in _basic_monomials_between(alg, v, w, SAMPLE_LEN):
-                    x = trunc_mul(trunc_mul(ev[v], exact(alg.element({m: 1}))), ev[w])
-                    pairs.append((x, zero, f"e_{v} ({m}) e_{w} = 0"))
-        return pairs
-
+    transfer = []
+    for v, name in special.mapping.items():
+        w = g.edge(name).dst
+        word = (exact(alg.ghost(name)), v, exact(alg.edge(name)))
+        transfer.append(((w,), word, f"e_{w} = {name}* e_{v} {name}"))
+    separation = [
+        ((v, exact(alg.element({m: 1})), w), (zero,), f"e_{v} ({m}) e_{w} = 0")
+        for v in g.vertices
+        for w in g.vertices
+        if comp_of[v] != comp_of[w]
+        for m in _basic_monomials_between(alg, v, w, SAMPLE_LEN)
+    ]
     note = f"sampled over basic monomials of total length <= {SAMPLE_LEN}"
     return [
-        _certify("special-transfer", K, transfer_pairs),
-        _certify("component-separation", K, separation_pairs, sampled=True, note=note),
+        _certify("special-transfer", K, partial(_law_pairs, ev_at, transfer)),
+        _certify("component-separation", K, partial(_law_pairs, ev_at, separation),
+                 sampled=True, note=note),
     ]
 
 
@@ -497,14 +482,13 @@ def decompose(alg: LeavittAlgebra, K) -> DecompositionReport:
     checks.append(Verdict("component-frame-match", FAIL if bad else PASS, witness=bad))
 
     es: dict[frozenset, TruncatedElement] = {}  # from the attempt that certifies
+    zero = exact(alg.zero())
+    one = exact(alg.one())
 
     def pairs_at(Kw):
         es.update((W, arrival_idempotent(alg, W, Kw)) for W in frame)
-        total = exact(alg.zero())
-        for W in frame:
-            total = trunc_add(total, es[W])
-        pairs = [(total, exact(alg.one()), "sum of e(W_i) = 1")]
-        zero = exact(alg.zero())
+        total = reduce(trunc_add, (es[W] for W in frame), zero)
+        pairs = [(total, one, "sum of e(W_i) = 1")]
         for i, Wi in enumerate(frame):
             for Wj in frame[i + 1:]:
                 for A, B in ((Wi, Wj), (Wj, Wi)):

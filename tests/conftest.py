@@ -15,20 +15,24 @@ from leavitt.completion import (
     _enumeration_cutoff,
     _outside_path_reaches,
     _special_depth,
+    arrival_idempotent,
     conjugate,
     exact,
     trunc_add,
+    trunc_mul,
     truncate,
     vertex_idempotent,
 )
 from leavitt.expr import ParseError
 from leavitt.filtration import (INF, as_order, format_order, min_order, order_of, params_of,
                                  product_precision)
-from leavitt.graph import Path
-from leavitt.structure import (FAIL, PASS, REFUSED, SAMPLED_PASS, Verdict, _judge,
-                               _refuse_frame_finite, _require_finite, check_central_idempotent,
-                               check_collapse, check_ideal_transfer, check_partition,
-                               check_vertex_idempotent_laws, decompose, vertex_recovery)
+from leavitt.graph import Path, format_vertex_set
+from leavitt.structure import (FAIL, PASS, REFUSED, SAMPLE_LEN, SAMPLED_PASS, Verdict,
+                               _basic_monomials_between, _certify, _escalated, _judge,
+                               _refuse_frame_finite, _refuse_not_hereditary, _require_finite,
+                               check_central_idempotent, check_collapse, check_ideal_transfer,
+                               check_partition, check_vertex_idempotent_laws, decompose,
+                               vertex_recovery)
 
 ROOT = FsPath(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -560,6 +564,135 @@ def suite_all_in_order(alg: LeavittAlgebra, K, order) -> list[Verdict]:
     return sorted(verdicts, key=lambda v: v.name)
 
 
+def central_idempotent_by_loops(alg: LeavittAlgebra, W, K) -> Verdict:
+    """``check_central_idempotent`` with its generators made in every
+    escalation round, one loop per kind of generator."""
+    K = _require_finite(K)
+    W = frozenset(W)
+    name = f"central-idempotent[{format_vertex_set(W)}]"
+    refusal = _refuse_not_hereditary(alg, name, K, W)
+    if refusal is not None:
+        return refusal
+
+    def pairs_at(Kw):
+        eW = arrival_idempotent(alg, W, Kw)
+        pairs = [(trunc_mul(eW, eW), eW, "e(W)^2 = e(W)")]
+        for v in alg.graph.vertices:
+            x = exact(alg.vertex(v))
+            pairs.append((trunc_mul(x, eW), trunc_mul(eW, x), f"{v} commutes with e(W)"))
+        for e in alg.graph.edges:
+            x = exact(alg.edge(e.name))
+            pairs.append((trunc_mul(x, eW), trunc_mul(eW, x), f"{e.name} commutes with e(W)"))
+            x = exact(alg.ghost(e.name))
+            pairs.append((trunc_mul(x, eW), trunc_mul(eW, x), f"{e.name}* commutes with e(W)"))
+        return pairs
+
+    return _certify(name, K, pairs_at)
+
+
+def _vertex_idempotents_at(alg: LeavittAlgebra, Kw) -> dict:
+    return {v: vertex_idempotent(alg, v, Kw) for v in alg.graph.vertices}
+
+
+def vertex_idempotent_laws_by_closures(alg: LeavittAlgebra, K) -> list[Verdict]:
+    """``check_vertex_idempotent_laws`` with one closure per law, each
+    building every e_v and every edge operand in every escalation round."""
+    K = _require_finite(K)
+    g = alg.graph
+    special = alg.special
+    zero = exact(alg.zero())
+
+    def idem_pairs(Kw):
+        ev = _vertex_idempotents_at(alg, Kw)
+        return [(trunc_mul(ev[v], ev[v]), ev[v], f"e_{v}^2 = e_{v}") for v in g.vertices]
+
+    pairs = _escalated(K, idem_pairs)
+    verdict = _judge("vertex-idempotent", K, pairs)
+    if verdict.status == PASS:
+        for v, (_, ev, _) in zip(g.vertices, pairs):
+            coeff = ev.body.coefficient(Monomial(g.vertex_path(v), g.vertex_path(v)))
+            if coeff != alg.field.one:
+                verdict = Verdict(
+                    "vertex-idempotent", FAIL, K, verdict.achieved,
+                    witness=f"e_{v} does not carry the vertex with coefficient 1",
+                )
+                break
+
+    def orth_pairs(Kw):
+        ev = _vertex_idempotents_at(alg, Kw)
+        return [
+            (trunc_mul(ev[v], ev[w]), zero, f"e_{v} e_{w} = 0")
+            for v in g.vertices
+            for w in g.vertices
+            if v != w
+        ]
+
+    def nonspecial_pairs(Kw):
+        ev = _vertex_idempotents_at(alg, Kw)
+        pairs = []
+        for v in g.vertices:
+            for e in g.out_edges(v):
+                if not special.is_special(e.name):
+                    pairs.append(
+                        (trunc_mul(ev[v], exact(alg.edge(e.name))), zero, f"e_{v} {e.name} = 0")
+                    )
+        return pairs
+
+    def shift_pairs(Kw):
+        ev = _vertex_idempotents_at(alg, Kw)
+        pairs = []
+        for v, name in special.mapping.items():
+            e = exact(alg.edge(name))
+            w = g.edge(name).dst
+            pairs.append((trunc_mul(ev[v], e), trunc_mul(e, ev[w]), f"e_{v} {name} = {name} e_{w}"))
+        return pairs
+
+    return [
+        verdict,
+        _certify("vertex-orthogonal", K, orth_pairs),
+        _certify("nonspecial-annihilates", K, nonspecial_pairs),
+        _certify("special-shifts", K, shift_pairs),
+    ]
+
+
+def ideal_transfer_by_closures(alg: LeavittAlgebra, K) -> list[Verdict]:
+    """``check_ideal_transfer`` with one closure per law, each building
+    every e_v, edge operand and separation sample in every round."""
+    K = _require_finite(K)
+    g = alg.graph
+    special = alg.special
+    comps = special.undirected_components()
+    comp_of = {v: i for i, S in enumerate(comps) for v in S}
+
+    def transfer_pairs(Kw):
+        ev = _vertex_idempotents_at(alg, Kw)
+        pairs = []
+        for v, name in special.mapping.items():
+            w = g.edge(name).dst
+            conj = trunc_mul(trunc_mul(exact(alg.ghost(name)), ev[v]), exact(alg.edge(name)))
+            pairs.append((ev[w], conj, f"e_{w} = {name}* e_{v} {name}"))
+        return pairs
+
+    def separation_pairs(Kw):
+        ev = _vertex_idempotents_at(alg, Kw)
+        zero = exact(alg.zero())
+        pairs = []
+        for v in g.vertices:
+            for w in g.vertices:
+                if comp_of[v] == comp_of[w]:
+                    continue
+                for m in _basic_monomials_between(alg, v, w, SAMPLE_LEN):
+                    x = trunc_mul(trunc_mul(ev[v], exact(alg.element({m: 1}))), ev[w])
+                    pairs.append((x, zero, f"e_{v} ({m}) e_{w} = 0"))
+        return pairs
+
+    note = f"sampled over basic monomials of total length <= {SAMPLE_LEN}"
+    return [
+        _certify("special-transfer", K, transfer_pairs),
+        _certify("component-separation", K, separation_pairs, sampled=True, note=note),
+    ]
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str  # NAME INT + - * / ( ) END
@@ -700,7 +833,7 @@ class _ParserByProducts:
         g = self.algebra.graph
         if tok.text in g.vertices:
             return self.algebra.vertex(tok.text)
-        if g.has_edge(tok.text):
+        if tok.text in {e.name for e in g.edges}:
             return self.algebra.edge(tok.text)
         raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
 

@@ -467,6 +467,36 @@ def test_arrival_terms_kept_on_chain_to_rose(monkeypatch):
     assert arrival_idempotent(alg, {"r"}, 224).render() == "c0 + c1 + c2 + r + O(V_224)"
 
 
+def test_arrival_idempotent_holds_its_body_uncut(monkeypatch):
+    # the recursion keeps only terms of order below K (see its docstring),
+    # so an inexact body is held as built: no cut tests each term's order,
+    # where cutting it again made one order_key call per term.  The oracle
+    # tests above compare the bodies themselves
+    calls = []
+    key = completion.order_key
+
+    def counting(*args):
+        calls.append(1)
+        return key(*args)
+
+    monkeypatch.setattr(completion, "order_key", counting)
+    rng = random.Random(721)
+    held = []
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=6)
+        for special in (construct_regular(g), random_specialization(rng, g)):
+            alg = LeavittAlgebra(special)
+            for W in g.frame():
+                for K in ORACLE_LEVELS:
+                    t = arrival_idempotent(alg, W, K)
+                    if not t.is_exact:
+                        held.append((special, t.body, K))
+    assert not calls
+    assert sum(bool(body.terms) for _, body, _ in held) > 100, len(held)
+    for special, body, K in held:
+        assert all(order_of(special, m) < K for m in body.terms), (special, K)
+
+
 def test_arrival_idempotent_on_exponential_arrival_graph():
     # the arrival paths into {v3} grow exponentially in number with Kw, the
     # states only linearly, so Kw=28 stays cheap

@@ -31,15 +31,18 @@ from leavitt.completion import conjugate, truncate
 from conftest import (
     CORPUS,
     DATA,
+    central_idempotent_by_loops,
     conjugate_by_truncation,
     conjugation_step_by_normal_form,
     family_graph,
+    ideal_transfer_by_closures,
     load_graph,
     random_graph,
     random_path,
     random_specialization,
     recovery_series_by_iterates,
     suite_all_in_order,
+    vertex_idempotent_laws_by_closures,
     vertex_recovery_by_iterates,
     vertex_recovery_by_vertex,
 )
@@ -104,6 +107,76 @@ def test_vertex_idempotent_laws_loop_special(alg_a):
         assert v.status == "pass", v
     for v in check_ideal_transfer(alg_a, 6):
         assert v.status in ("pass", "sampled-pass"), v
+
+
+def test_law_tables_match_per_round_oracles(monkeypatch):
+    # the checks of lemmas 10, 19 and 21 build their operands that do not
+    # depend on Kw once per call, and lemmas 19 and 21 share one e_v map per
+    # Kw; verdicts and achieved levels stay those of the per-round oracles,
+    # on frame-finite graphs and on others alike.  With every congruence
+    # failing, each witness names the first pair of its law, so pair order
+    # and labels are compared too.  The first 8 graphs of each kind are used
+    rng = random.Random(19)
+    seen = Counter()
+    statuses = Counter()
+    while min(seen[True], seen[False]) < 8:
+        g = random_graph(rng, max_vertices=4, max_edges=7)
+        special = random_specialization(rng, g)
+        K = rng.choice([Fraction(1, 2), 1, 2])
+        frame_finite = special.report().frame_finite
+        if seen[frame_finite] == 8:
+            continue
+        seen[frame_finite] += 1
+        alg = LeavittAlgebra(special)
+        targets = g.frame() + [frozenset(g.vertices)]
+        for failing in (False, True):
+            with monkeypatch.context() as patch:
+                if failing:
+                    patch.setattr(structure, "equal_mod", lambda a, b, K: False)
+                got = (check_vertex_idempotent_laws(alg, K) + check_ideal_transfer(alg, K)
+                       + [check_central_idempotent(alg, W, K) for W in targets])
+                want = (vertex_idempotent_laws_by_closures(alg, K)
+                        + ideal_transfer_by_closures(alg, K)
+                        + [central_idempotent_by_loops(alg, W, K) for W in targets])
+            assert [(v.text_line(), v.achieved) for v in got] == [
+                (v.text_line(), v.achieved) for v in want], (g, special.mapping, K)
+            statuses.update(v.status for v in got)
+    assert statuses["fail"] > 100 and statuses["pass"] > 100, statuses
+
+
+def test_vertex_laws_build_each_vertex_idempotent_once_per_working_precision(monkeypatch):
+    # lemma 19 on complete(4) at K=6 reads three working precisions; its
+    # laws share one e_v map per Kw, so e_v is made 4 x 3 = 12 times, where
+    # building every e_v in every round of every law made 28
+    alg = LeavittAlgebra(construct_regular(family_graph("complete", 4)))
+    calls = []
+    original = structure.vertex_idempotent
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(structure, "vertex_idempotent", counting)
+    verdicts = check_vertex_idempotent_laws(alg, 6)
+    assert [v.status for v in verdicts] == ["pass"] * 4
+    assert len(calls) == len(set(calls)) == 12, calls
+
+
+def test_separation_samples_are_made_once_per_check(alg_a, monkeypatch):
+    # on toeplitz/gammaA at K=4 component separation escalates through five
+    # rounds; its samples are listed once per ordered pair of vertices in
+    # different components (2 calls), where listing them every round made 10
+    calls = []
+    original = structure._basic_monomials_between
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(structure, "_basic_monomials_between", counting)
+    verdicts = check_ideal_transfer(alg_a, 4)
+    assert [v.status for v in verdicts] == ["pass", "sampled-pass"]
+    assert sorted(calls) == [("v", "w"), ("w", "v")], calls
 
 
 def test_vertex_recovery_examples():
