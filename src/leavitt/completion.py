@@ -10,8 +10,21 @@ are built only when read.  ``below(L)`` returns the body's terms of order
 below a level L <= prec, and ``body`` is ``below(prec)``.  Products, sums
 and vertex idempotents defer their terms, and a caller that reads below L
 forms only what that level needs.  A product of two inexact operands reads
-both bodies to fix its precision, so even working-precision escalation,
-which reads only precisions, forms those operands.
+the body of each operand that is not diagonal to fix its precision, so
+even working-precision escalation, which reads only precisions, forms
+such operands.
+
+An element is diagonal when every term of its body is a projection x x*,
+x a vertex or a path that ends in a non-special edge: such a term has
+weight 1 and order 2|x|.  The idempotents e(W) and e_v, the recovery
+operator's values, vertices, zero and one are diagonal, and so are sums
+and products of diagonal elements, which span the commutative diagonal
+subalgebra: (x x*)(y y*) is the projection of the longer path when one
+path is a prefix of the other, and 0 otherwise, with no rewriting.  The
+makers of diagonal elements say so, and ``trunc_mul`` uses it to fix its
+precision without reading a diagonal operand, to split without scanning
+one, and to multiply by prefix lookup.  A diagonal body is cut by length,
+and its largest read so far serves every lower read.
 
 Precision propagates through products via ``product_precision`` plus one
 unit of slack: rewriting a dropped-tail product onto the storage basis can
@@ -33,7 +46,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import Element, LeavittAlgebra, Monomial
+from .algebra import Element, LeavittAlgebra, Monomial, add_terms
 from .filtration import (INF, Order, as_order, format_order, order_key, params_of,
                          product_precision)
 from .filtration import order_of  # noqa: F401  bench/selftest.py traces this binding
@@ -43,13 +56,22 @@ from .specialization import Specialization
 
 class TruncatedElement:
     """A body known below ``prec``; ``make(L)`` builds its terms of order
-    below a level L <= prec."""
+    below a level L <= prec.
 
-    def __init__(self, algebra: LeavittAlgebra, prec: Order, make: Callable[[Order], Element]):
+    A diagonal element keeps its largest read: its maker's read below L is
+    its whole body cut below L, as a diagonal product or sum never rewrites,
+    so a lower read is a cut of the kept one, by length.  Any other element
+    keeps only its whole body."""
+
+    def __init__(self, algebra: LeavittAlgebra, prec: Order, make: Callable[[Order], Element],
+                 diagonal: bool = False):
         self.algebra = algebra
         self.prec = prec
+        self.diagonal = diagonal
         self._make = make
-        self._body: Element | None = None
+        self._read: Element | None = None  # the kept read, below self._level
+        self._level: Order = 0
+        self._lengths: list[dict] | None = None  # a diagonal read's terms by |x|
 
     @property
     def body(self) -> Element:
@@ -58,12 +80,34 @@ class TruncatedElement:
     def below(self, L: Order) -> Element:
         """The body's terms of order below L; the whole body, built once,
         for L >= prec."""
-        if self._body is None:
-            if L < self.prec:
+        L = min(L, self.prec)
+        if self._read is None or self._level < L:
+            if L < self.prec and not self.diagonal:
                 return self._make(L)
-            self._body = self._make(self.prec)
-            del self._make  # release the operands the maker holds
-        return self._body if L >= self.prec else _below(self._body, L)
+            self._read, self._level, self._lengths = self._make(L), L, None
+            if L == self.prec:
+                del self._make  # release the operands the maker holds
+        if L >= self._level:
+            return self._read
+        return self._cut(L) if self.diagonal else _below(self._read, L)
+
+    def _cut(self, L: Order) -> Element:
+        """The kept diagonal read's terms x x* with 2|x| < L, a union of
+        length buckets made on the first cut."""
+        if self._lengths is None:
+            self._lengths = []
+            for m, c in self._read.terms.items():
+                n = len(m.left.edges)
+                while len(self._lengths) <= n:
+                    self._lengths.append({})
+                self._lengths[n][m] = c
+        room = math.ceil(L / 2)  # 2n < L iff n < room
+        if room >= len(self._lengths):
+            return self._read
+        terms = {}
+        for bucket in self._lengths[:room]:
+            terms.update(bucket)
+        return Element(self.algebra, terms)
 
     @property
     def is_exact(self) -> bool:
@@ -95,13 +139,17 @@ def _below(a: Element, L: Order) -> Element:
     return a if len(kept) == len(a.terms) else Element(a.algebra, kept)
 
 
-def _held(a: Element, prec: Order) -> TruncatedElement:
+def _held(a: Element, prec: Order, diagonal: bool = False) -> TruncatedElement:
     """A built body a, whose terms all have order below prec."""
-    return TruncatedElement(a.algebra, prec, lambda L: a if L >= prec else _below(a, L))
+    held = TruncatedElement(a.algebra, prec, None, diagonal)
+    held._read, held._level = a, prec
+    return held
 
 
 def exact(a: Element) -> TruncatedElement:
-    return _held(a, INF)
+    """a, exact; diagonal when a is a combination of vertices, such as a
+    vertex, zero or one."""
+    return _held(a, INF, all(not m.left.edges and not m.right.edges for m in a.terms))
 
 
 def truncate(a: Element, K) -> TruncatedElement:
@@ -118,7 +166,7 @@ def _common_algebra(a: TruncatedElement, b: TruncatedElement) -> LeavittAlgebra:
 
 def trunc_add(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     return TruncatedElement(_common_algebra(a, b), min(a.prec, b.prec),
-                            lambda L: a.below(L) + b.below(L))
+                            lambda L: a.below(L) + b.below(L), a.diagonal and b.diagonal)
 
 
 def _minus_slack(k: Order) -> Order:
@@ -127,18 +175,64 @@ def _minus_slack(k: Order) -> Order:
     return max(k - 1, Fraction(0))
 
 
-def _split_level(special: Specialization, L: Order, x: Element) -> Order:
-    """The least k at which a tail of order >= k times any term m of x
-    normalises to order >= L, that is product_precision(k, m) - 1 >= L:
-    k >= 2(L + 1) + 1 and k >= 2(s + d + 1)(L + 1) - n + d."""
+def _split_level(special: Specialization, L: Order, terms) -> Order:
+    """The least k at which a tail of order >= k times any of the monomials
+    ``terms`` normalises to order >= L, that is product_precision(k, m) - 1
+    >= L: k >= 2(L + 1) + 1 and k >= 2(s + d + 1)(L + 1) - n + d.  A term of
+    weight s + d + 1 = 1, as every term of a diagonal element is, needs only
+    the first bound, so a diagonal operand passes no terms."""
     if L == INF:
         return INF
     num, den = L.numerator + L.denominator, L.denominator  # L + 1
     top = 2 * num + den
-    for m in x.terms:
+    for m in terms:
         n, s, d = params_of(special, m)
         top = max(top, 2 * (s + d + 1) * num - (n - d) * den)
     return Fraction(top, den)
+
+
+def _diagonal_times(d: Element, z: Element, d_left: bool) -> Element:
+    """d z (``d_left``) or z d, for d diagonal and z any normal form, by
+    prefix lookup.
+
+    Let x be a vertex or a path that ends in a non-special edge, and a b* a
+    basic monomial.  Then
+
+        (x x*)(y y*) is y y* if x is a prefix of y, x x* if y is a prefix
+                     of x, and 0 otherwise;
+        (x x*)(a b*) is a b* if x is a prefix of a, (x, b x') if x = a x',
+                     and 0 otherwise;
+        (a b*)(x x*) is a b* if x is a prefix of b, (a x', x) if x = b x',
+                     and 0 otherwise,
+
+    as x* a is a' when a = x a', x'* when x = a x', and 0 when neither path
+    continues the other.  The first line is the second with a = b = y.  In
+    (x, b x') both paths end in x's last edge, which is not special, so
+    every result term is basic: no monomial product and no normal form.
+    Each term of z is looked up once per prefix of its meeting path, and
+    each x once per length of a meeting path shorter than x.
+    """
+    alg = d.algebra
+    through = {}  # (start, edges) of a prefix of a meeting path -> those z terms
+    into = {}  # k -> (start, edges) of a meeting path of length k -> (other path, c)
+    for m, c in z.terms.items():
+        meet, other = (m.left, m.right) if d_left else (m.right, m.left)
+        start, edges = meet.start, meet.edges
+        for i in range(len(edges) + 1):
+            through.setdefault((start, edges[:i]), []).append((m, c))
+        into.setdefault(len(edges), {}).setdefault((start, edges), []).append((other, c))
+    pairs = []
+    for t, w in d.terms.items():
+        x = t.left
+        start, edges = x.start, x.edges
+        for m, c in through.get((start, edges), ()):
+            pairs.append((m, w * c if d_left else c * w))
+        for k, ends in into.items():
+            if k < len(edges):
+                for other, c in ends.get((start, edges[:k]), ()):
+                    q = Path(other.start, other.edges + edges[k:], x.end)
+                    pairs.append((Monomial(x, q), w * c) if d_left else (Monomial(q, x), c * w))
+    return Element(alg, add_terms({}, pairs, alg.field.zero))
 
 
 def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
@@ -148,33 +242,46 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     the tail-times-tail part keeps (min(prec) - 1)/2; normalizing costs one
     more level of slack.  Exact times exact stays exact.  An exact operand
     has no tail, so the other operand's terms bound nothing and are not
-    read; the product itself is formed only when its terms are read.
+    read; the product itself is formed only when its terms are read.  A
+    diagonal operand is not read either: each of its terms m has weight 1,
+    so product_precision(k, m) = max((k - 1)/2, 0), never below the bound
+    (min(prec) - 1)/2, as k is the other operand's precision.
 
-    Read below L, the product first reads all of x, which is b when only
-    b is exact (the precision read b's terms) and a otherwise.  It reads
-    the other operand, y, below the ``_split_level`` k_y of x's terms, and
-    then x below the level k_x of the terms of y it read.  As x y =
+    Read below L, the product first reads all of x, which is the diagonal
+    operand when just one is diagonal (its split level needs no read), b
+    when only b is exact (the precision read b's terms) and a otherwise.  It
+    reads the other operand, y, below the ``_split_level`` k_y of x's terms,
+    and then x below the level k_x of the terms of y it read.  As x y =
     x y_hi + x_lo y_lo + x_hi y_lo, and the first and last parts normalise
-    to order >= L, the terms below L are those of x_lo y_lo.
+    to order >= L, the terms below L are those of x_lo y_lo.  A diagonal x
+    multiplies by prefix lookup, ``_diagonal_times``.  When both operands
+    are diagonal, so is the product: each of its terms is the longer of two
+    projections, so the terms below L are the product of the operands'
+    terms below L.
     """
     alg = _common_algebra(a, b)
     special = alg.special
     lo = min(a.prec, b.prec)
     bounds = [INF if lo == INF else Fraction(lo - 1, 2)]
-    if a.prec != INF:
+    if a.prec != INF and not b.diagonal:
         bounds += [product_precision(special, a.prec, m) for m in b.body.terms]
-    if b.prec != INF:
+    if b.prec != INF and not a.diagonal:
         bounds += [product_precision(special, b.prec, m) for m in a.body.terms]
     prec = _minus_slack(min(bounds))
-    swap = b.is_exact and not a.is_exact
+    diagonal = a.diagonal and b.diagonal
+    swap = b.diagonal if a.diagonal != b.diagonal else b.is_exact and not a.is_exact
     x, y = (b, a) if swap else (a, b)
 
     def make(L):
-        y_lo = y.below(_split_level(special, L, x.body))
-        x_lo = x.below(_split_level(special, L, y_lo))
+        if diagonal:
+            return _diagonal_times(a.below(L), b.below(L), True)
+        y_lo = y.below(_split_level(special, L, () if x.diagonal else x.body.terms))
+        x_lo = x.below(_split_level(special, L, y_lo.terms))
+        if x.diagonal:
+            return _below(_diagonal_times(x_lo, y_lo, not swap), L)
         return _below(y_lo * x_lo if swap else x_lo * y_lo, L)
 
-    return TruncatedElement(alg, prec, make)
+    return TruncatedElement(alg, prec, make, diagonal)
 
 
 def equal_mod(a: TruncatedElement, b: TruncatedElement, K) -> bool:
@@ -309,7 +416,7 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
             here[u, r] = terms
         below = here
     body = Element(alg, {m: c for terms in below.values() for m, c in terms.items()})
-    return _held(body, K) if inexact else exact(body)
+    return _held(body, K if inexact else INF, diagonal=True)
 
 
 def _walk_vertices(alg: LeavittAlgebra, w: str, K: Order) -> frozenset:
@@ -356,7 +463,7 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
                 if k + 1 + len(m.left.edges) < room:
                     p = g.concat(left, m.left)
                     terms[Monomial(p, p)] = c
-    return _held(Element(alg, terms), K)
+    return _held(Element(alg, terms), K, diagonal=True)
 
 
 def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
@@ -380,4 +487,4 @@ def vertex_idempotent(alg: LeavittAlgebra, v: str, K) -> TruncatedElement:
         head = alg.vertex(v).terms if L else {}
         return Element(alg, {**head, **branches})
 
-    return TruncatedElement(alg, K, make)
+    return TruncatedElement(alg, K, make, diagonal=True)

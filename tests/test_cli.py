@@ -65,6 +65,11 @@ GOLDEN_CASES = {
         "verify", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
         "--prec", "5", "--suite", "all",
     ],
+    "verify_escalating5_lemma10_prec7-2.json": [
+        "verify", "--graph", "tests/inputs/escalating5.json",
+        "--gamma", "tests/inputs/escalating5_gamma.json", "--prec", "7/2", "--suite", "lemma10",
+        "--json",
+    ],
 }
 
 

@@ -29,7 +29,7 @@ from leavitt import (
     vertex_idempotent,
 )
 
-from leavitt import completion
+from leavitt import algebra, completion
 from leavitt.algebra import Element
 from leavitt.completion import TruncatedElement, _special_depth, conjugate
 from leavitt.filtration import order_key, order_of
@@ -638,6 +638,143 @@ def test_idempotent_terms_are_weight_one_projections():
                     assert m.left == m.right and order_key(special, m)[1] == 1, (special, K, m)
                     terms += 1
     assert terms > 10000, terms
+
+
+def _diagonal_makers(rng, alg, K):
+    """Zero-argument makers of fresh diagonal elements at K: e(W) over the
+    frame and V, e_v over the vertices, a vertex, and sums and products of
+    those."""
+    g = alg.graph
+    makers = [lambda W=W: arrival_idempotent(alg, W, K)
+              for W in g.frame() + [frozenset(g.vertices)]]
+    makers += [lambda v=v: vertex_idempotent(alg, v, K) for v in g.vertices]
+    makers.append(lambda v=rng.choice(g.vertices): exact(alg.vertex(v)))
+    f, h = rng.choice(makers), rng.choice(makers)
+    makers += [lambda: trunc_add(f(), h()), lambda: trunc_mul(f(), h())]
+    return makers
+
+
+def test_diagonal_products_match_the_normal_form_product():
+    # on the e(W) and e_v of seeded random graphs, under construct_regular
+    # and a random specialization, over QQ and (every third graph) F_7, at
+    # several K: the prefix-lookup products D D, D m and m D, for D, D'
+    # diagonal and m any normal form, equal Element.__mul__, and trunc_mul
+    # with a diagonal operand equals the product formed in full and then
+    # truncated, the oracle trunc_mul_eager, in precision and body
+    rng = random.Random(21)
+    kinds = Counter()
+    for i in range(40):
+        g = random_graph(rng, 5, 9)
+        for special in (construct_regular(g), random_specialization(rng, g)):
+            alg = LeavittAlgebra(special, PrimeField(7) if i % 3 == 0 else QQ)
+            for K in (2, Fraction(7, 2), 5):
+                makers = _diagonal_makers(rng, alg, K)
+                general = [lambda a=random_element(rng, alg, terms=4, max_len=3): exact(a),
+                           lambda a=random_element(rng, alg, terms=4, max_len=3): truncate(a, K)]
+                for _ in range(4):
+                    d, e, m = rng.choice(makers), rng.choice(makers), rng.choice(general)
+                    D, E, M = d().body, e().body, m().body
+                    assert completion._diagonal_times(D, E, True) == D * E, (special, K)
+                    assert completion._diagonal_times(D, M, True) == D * M, (special, K)
+                    assert completion._diagonal_times(D, M, False) == M * D, (special, K)
+                    for f, h in ((d, e), (d, m), (m, d)):
+                        x, y = f(), h()
+                        assert x.diagonal or f is m, (special, K)
+                        got, want = trunc_mul(x, y), trunc_mul_eager(f(), h())
+                        assert got.diagonal == (x.diagonal and y.diagonal)
+                        assert (got.prec, got.body) == (want.prec, want.body), (special, K)
+                        kinds[f is m, h is m, bool(got.body.terms), got.is_exact] += 1
+    assert len(kinds) >= 10 and min(kinds.values()) > 5, kinds
+
+
+def test_diagonal_cut_by_length_matches_the_order_cut():
+    # a diagonal element read below a sequence of levels, rising and
+    # falling, gives at each the order cut of its whole body, though only a
+    # read above every earlier one calls its maker, and the others cut the
+    # kept read by length
+    rng = random.Random(22)
+    reads = 0
+    for i in range(30):
+        g = random_graph(rng, 5, 9)
+        for special in (construct_regular(g), random_specialization(rng, g)):
+            alg = LeavittAlgebra(special)
+            for make in _diagonal_makers(rng, alg, 6):
+                body = make().body
+                x = make()
+                for L in rng.sample([0, Fraction(1, 2), 1, 2, Fraction(7, 2), 4, 5, 6], 8):
+                    assert x.below(L) == completion._below(body, L), (special, L)
+                    reads += len(body.terms) > len(x.below(L).terms)
+    assert reads > 500, reads
+
+
+def test_diagonal_reads_keep_the_largest(alg_a, monkeypatch):
+    # e_v runs the recovery operator only for a read above every earlier
+    # one; lower reads cut the kept read
+    levels = []
+    original = completion.conjugate
+
+    def counting(*args):
+        levels.append(args[3])
+        return original(*args)
+
+    body = vertex_idempotent(alg_a, "v", 12).body
+    monkeypatch.setattr(completion, "conjugate", counting)
+    ev = vertex_idempotent(alg_a, "v", 12)
+    for L in (9, 5, 7, 2, 9, 0):
+        assert ev.below(L) == completion._below(body, L)
+    assert levels == [9]
+    ev.below(11)
+    assert ev.body.terms and levels == [9, 11, 12]
+
+
+def test_diagonal_product_forms_no_normal_form(alg_a, alg_b, monkeypatch):
+    # a product with a diagonal operand is a prefix lookup: it makes no
+    # monomial_product call and no normal-form pass, and D D no order cut
+    def forbidden(*args):
+        raise AssertionError("normal-form product")
+
+    cases = []
+    for alg in (alg_a, alg_b, LeavittAlgebra(construct_regular(family_graph("complete", 3)))):
+        g = alg.graph
+        diag = [arrival_idempotent(alg, W, 6) for W in g.frame()]
+        diag += [vertex_idempotent(alg, v, 6) for v in g.vertices] + [exact(alg.one())]
+        edges = [exact(alg.edge(e.name)) for e in g.edges]
+        edges += [exact(alg.ghost(e.name)) for e in g.edges]
+        for d in diag:
+            d.body  # built before the normal form is forbidden
+        cases += [(d, e, d.body * e.body) for d in diag for e in diag]
+        cases += [(d, e, d.body * e.body) for d in diag for e in edges]
+        cases += [(e, d, e.body * d.body) for d in diag for e in edges]
+    monkeypatch.setattr(algebra, "monomial_product", forbidden)
+    monkeypatch.setattr(LeavittAlgebra, "_normal", forbidden)
+    cut = completion._below
+    for a, b, full in cases:
+        with monkeypatch.context() as patch:
+            if a.diagonal and b.diagonal:
+                patch.setattr(completion, "_below", forbidden)
+            product = trunc_mul(a, b)
+            assert product.body == cut(full, product.prec)
+
+
+def test_diagonal_operand_fixes_precision_unread(alg_a):
+    # each term of a diagonal operand has weight 1, so its product
+    # precision (k - 1)/2 never lowers trunc_mul's first bound: fixing the
+    # precision never calls a diagonal operand's maker, and the precision
+    # is the one the eager oracle bounds over every term
+    def unread(L):
+        raise AssertionError("diagonal body read")
+
+    def operands():
+        return [vertex_idempotent(alg_a, "v", 6), arrival_idempotent(alg_a, {"w"}, 5),
+                trunc_mul(vertex_idempotent(alg_a, "v", 9), vertex_idempotent(alg_a, "v", 4)),
+                truncate(parse(alg_a, "v - f f* - e f f* e* + e f*"), 3),
+                exact(parse(alg_a, "e")), exact(parse(alg_a, "f* e*"))]
+
+    want = [trunc_mul_eager(a, b).prec for a in operands() for b in operands()]
+    stand_ins = [TruncatedElement(alg_a, t.prec, unread, diagonal=True) if t.diagonal else t
+                 for t in operands()]
+    assert [t.is_exact for t in stand_ins if t.diagonal] == [False, False, False]
+    assert [trunc_mul(a, b).prec for a in stand_ins for b in stand_ins] == want
 
 
 def test_walk_increment_orders(alg_a):

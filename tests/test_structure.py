@@ -271,19 +271,20 @@ def test_ideal_transfer_multiplies_only_in_the_certifying_round(monkeypatch):
     # special transfer escalates Kw 27 -> 864 on rose(4) at K=12 and
     # 15 -> 480 on complete(4) at K=6; the rounds that do not certify read
     # only precisions, so only the certifying round forms the two products
-    # per special edge (forming them every round made 12 and 48)
+    # per special edge (forming them every round made 12 and 48); a product
+    # is counted whichever routine forms it: the normal-form product
+    # Element.__mul__ or the prefix lookup of a diagonal operand
     calls = []
-    mul = Element.__mul__
 
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counting(routine):
+        return lambda *args: calls.append(routine) or routine(*args)
 
     for family, n, K, want in (("rose", 4, 12, 2), ("complete", 4, 6, 8)):
         alg = LeavittAlgebra(construct_regular(family_graph(family, n)))
         calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(Element, "__mul__", counting)
+            patch.setattr(Element, "__mul__", counting(Element.__mul__))
+            patch.setattr(completion, "_diagonal_times", counting(completion._diagonal_times))
             verdicts = check_ideal_transfer(alg, K)
         assert [v.status for v in verdicts] == ["pass", "sampled-pass"]
         assert len(calls) == want, (family, len(calls))
