@@ -94,12 +94,16 @@ def monomial_product(m1: Monomial, m2: Monomial) -> Monomial | None:
 
 def add_terms(terms: dict, pairs, zero) -> dict:
     """Add (monomial, coefficient) pairs into ``terms`` in place, dropping
-    monomials whose coefficients sum to ``zero``; returns ``terms``."""
+    monomials whose coefficients sum to ``zero``; returns ``terms``.  Each
+    coefficient is already a field element: a new monomial stores it as is,
+    unless it is zero, and only a monomial already present adds."""
     for m, c in pairs:
-        acc = terms.get(m, zero) + c
-        if acc:
+        if m not in terms:
+            if c:
+                terms[m] = c
+        elif acc := terms[m] + c:
             terms[m] = acc
-        elif m in terms:
+        else:
             del terms[m]
     return terms
 

@@ -590,6 +590,55 @@ def central_idempotent_by_loops(alg: LeavittAlgebra, W, K) -> Verdict:
     return _certify(name, K, pairs_at)
 
 
+def partition_by_ordered_pairs(alg: LeavittAlgebra, W, K) -> Verdict:
+    """``check_partition`` with e(W) e(W^perp) = 0 checked in both orders."""
+    K = _require_finite(K)
+    W = frozenset(W)
+    name = f"partition[{format_vertex_set(W)}]"
+    refusal = _refuse_not_hereditary(alg, name, K, W) or _refuse_frame_finite(alg, name, K)
+    if refusal is not None:
+        return refusal
+    Wp = alg.graph.hereditary_complement(W)
+    zero = exact(alg.zero())
+    one = exact(alg.one())
+
+    def pairs_at(Kw):
+        eW = arrival_idempotent(alg, W, Kw)
+        eWp = arrival_idempotent(alg, Wp, Kw) if Wp else zero
+        return [
+            (trunc_mul(eW, eWp), zero, "e(W) e(W^perp) = 0"),
+            (trunc_mul(eWp, eW), zero, "e(W^perp) e(W) = 0"),
+            (trunc_add(eW, eWp), one, "e(W) + e(W^perp) = 1"),
+        ]
+
+    return _certify(name, K, pairs_at)
+
+
+def frame_partition_by_ordered_pairs(alg: LeavittAlgebra, K) -> list[Verdict]:
+    """``decompose``'s partition-of-unity and orthogonality verdicts, with
+    e(W_i) e(W_j) = 0 checked in both orders."""
+    K = _require_finite(K)
+    frame = alg.graph.frame()
+    zero = exact(alg.zero())
+    one = exact(alg.one())
+
+    def pairs_at(Kw):
+        es = {W: arrival_idempotent(alg, W, Kw) for W in frame}
+        total = zero
+        for W in frame:
+            total = trunc_add(total, es[W])
+        pairs = [(total, one, "sum of e(W_i) = 1")]
+        for i, Wi in enumerate(frame):
+            for Wj in frame[i + 1:]:
+                for A, B in ((Wi, Wj), (Wj, Wi)):
+                    pairs.append((trunc_mul(es[A], es[B]), zero,
+                                  f"e({format_vertex_set(A)}) e({format_vertex_set(B)}) = 0"))
+        return pairs
+
+    pairs = _escalated(K, pairs_at)
+    return [_judge("partition-of-unity", K, pairs[:1]), _judge("orthogonality", K, pairs[1:])]
+
+
 def _vertex_idempotents_at(alg: LeavittAlgebra, Kw) -> dict:
     return {v: vertex_idempotent(alg, v, Kw) for v in alg.graph.vertices}
 

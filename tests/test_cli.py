@@ -65,6 +65,16 @@ GOLDEN_CASES = {
         "verify", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
         "--prec", "5", "--suite", "all",
     ],
+    # the first prime-field goldens: the text verdicts carry no coefficient,
+    # and decompose prints e({b}) = a + b - f f* with -1 as 6
+    "verify_toeplitz_gammaA_fp7_prec5.txt": [
+        "verify", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
+        "--field", "fp:7", "--prec", "5", "--suite", "all",
+    ],
+    "decompose_y_fp7_prec4.json": [
+        "decompose", "--graph", "data/y.json", "--auto-regular", "--field", "fp:7",
+        "--prec", "4", "--json",
+    ],
     "verify_escalating5_lemma10_prec7-2.json": [
         "verify", "--graph", "tests/inputs/escalating5.json",
         "--gamma", "tests/inputs/escalating5_gamma.json", "--prec", "7/2", "--suite", "lemma10",
