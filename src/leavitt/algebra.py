@@ -92,9 +92,9 @@ def monomial_product(m1: Monomial, m2: Monomial) -> Monomial | None:
     return Monomial(p, Path(w.start, w.edges + q[n:], m1.right.end))
 
 
-def add_terms(terms: dict, pairs, zero) -> dict:
+def add_terms(terms: dict, pairs) -> dict:
     """Add (monomial, coefficient) pairs into ``terms`` in place, dropping
-    monomials whose coefficients sum to ``zero``; returns ``terms``.  Each
+    monomials whose coefficients sum to zero; returns ``terms``.  Each
     coefficient is already a field element: a new monomial stores it as is,
     unless it is zero, and only a monomial already present adds."""
     for m, c in pairs:
@@ -190,7 +190,7 @@ class LeavittAlgebra:
         """Rewrite (monomial, coefficient) pairs, which may repeat, cancel or
         be zero, onto the basis: one ``add_terms`` over their rewrite chains
         is the only merge."""
-        return add_terms({}, self._rewrite(pairs), self.field.zero)
+        return add_terms({}, self._rewrite(pairs))
 
     def _rewrite(self, pairs):
         """Yield each pair (m, c) as its rewrite chain.
@@ -254,7 +254,7 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        terms = add_terms(dict(self.terms), other.terms.items(), self.algebra.field.zero)
+        terms = add_terms(dict(self.terms), other.terms.items())
         return Element(self.algebra, terms)
 
     def __neg__(self) -> "Element":

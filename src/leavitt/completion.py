@@ -9,10 +9,11 @@ value is exact.  The precision is fixed when the element is made; terms
 are built only when read.  ``below(L)`` returns the body's terms of order
 below a level L <= prec, and ``body`` is ``below(prec)``.  Products, sums
 and vertex idempotents defer their terms, and a caller that reads below L
-forms only what that level needs.  A product of two inexact operands reads
-the body of each operand that is not diagonal to fix its precision, so
-even working-precision escalation, which reads only precisions, forms
-such operands.
+forms only what that level needs.  An element keeps its largest read so
+far, and every lower read is a cut of it.  A product of two inexact
+operands reads the body of each operand that is not diagonal to fix its
+precision, so even working-precision escalation, which reads only
+precisions, forms such operands.
 
 An element is diagonal when every term of its body is a projection x x*,
 x a vertex or a path that ends in a non-special edge: such a term has
@@ -23,8 +24,7 @@ subalgebra: (x x*)(y y*) is the projection of the longer path when one
 path is a prefix of the other, and 0 otherwise, with no rewriting.  The
 makers of diagonal elements say so, and ``trunc_mul`` uses it to fix its
 precision without reading a diagonal operand, to split without scanning
-one, and to multiply by prefix lookup.  A diagonal body is cut by length,
-and its largest read so far serves every lower read.
+one, and to multiply by prefix lookup; a diagonal read is cut by length.
 
 Precision propagates through products via ``product_precision`` plus one
 unit of slack: rewriting a dropped-tail product onto the storage basis can
@@ -58,10 +58,9 @@ class TruncatedElement:
     """A body known below ``prec``; ``make(L)`` builds its terms of order
     below a level L <= prec.
 
-    A diagonal element keeps its largest read: its maker's read below L is
-    its whole body cut below L, as a diagonal product or sum never rewrites,
-    so a lower read is a cut of the kept one, by length.  Any other element
-    keeps only its whole body."""
+    The element keeps its largest read.  Every maker's read below L is its
+    whole body cut below L, so a lower read is a cut of the kept one: by
+    length for a diagonal element, by order for any other."""
 
     def __init__(self, algebra: LeavittAlgebra, prec: Order, make: Callable[[Order], Element],
                  diagonal: bool = False):
@@ -71,7 +70,6 @@ class TruncatedElement:
         self._make = make
         self._read: Element | None = None  # the kept read, below self._level
         self._level: Order = 0
-        self._lengths: list[dict] | None = None  # a diagonal read's terms by |x|
 
     @property
     def body(self) -> Element:
@@ -82,32 +80,12 @@ class TruncatedElement:
         for L >= prec."""
         L = min(L, self.prec)
         if self._read is None or self._level < L:
-            if L < self.prec and not self.diagonal:
-                return self._make(L)
-            self._read, self._level, self._lengths = self._make(L), L, None
+            self._read, self._level = self._make(L), L
             if L == self.prec:
                 del self._make  # release the operands the maker holds
         if L >= self._level:
             return self._read
-        return self._cut(L) if self.diagonal else _below(self._read, L)
-
-    def _cut(self, L: Order) -> Element:
-        """The kept diagonal read's terms x x* with 2|x| < L, a union of
-        length buckets made on the first cut."""
-        if self._lengths is None:
-            self._lengths = []
-            for m, c in self._read.terms.items():
-                n = len(m.left.edges)
-                while len(self._lengths) <= n:
-                    self._lengths.append({})
-                self._lengths[n][m] = c
-        room = math.ceil(L / 2)  # 2n < L iff n < room
-        if room >= len(self._lengths):
-            return self._read
-        terms = {}
-        for bucket in self._lengths[:room]:
-            terms.update(bucket)
-        return Element(self.algebra, terms)
+        return _cut(self._read, L) if self.diagonal else _below(self._read, L)
 
     @property
     def is_exact(self) -> bool:
@@ -137,6 +115,12 @@ def _below(a: Element, L: Order) -> Element:
         if n * den < num * weight:
             kept[m] = c
     return a if len(kept) == len(a.terms) else Element(a.algebra, kept)
+
+
+def _cut(a: Element, L: Order) -> Element:
+    """The terms x x* with 2|x| < L of a diagonal element."""
+    room = math.ceil(L / 2)  # 2n < L iff n < room
+    return Element(a.algebra, {m: c for m, c in a.terms.items() if len(m.left.edges) < room})
 
 
 def _held(a: Element, prec: Order, diagonal: bool = False) -> TruncatedElement:
@@ -226,13 +210,13 @@ def _diagonal_times(d: Element, z: Element, d_left: bool) -> Element:
         x = t.left
         start, edges = x.start, x.edges
         for m, c in through.get((start, edges), ()):
-            pairs.append((m, w * c if d_left else c * w))
+            pairs.append((m, w * c))
         for k, ends in into.items():
             if k < len(edges):
                 for other, c in ends.get((start, edges[:k]), ()):
                     q = Path(other.start, other.edges + edges[k:], x.end)
-                    pairs.append((Monomial(x, q), w * c) if d_left else (Monomial(q, x), c * w))
-    return Element(alg, add_terms({}, pairs, alg.field.zero))
+                    pairs.append((Monomial(x, q) if d_left else Monomial(q, x), w * c))
+    return Element(alg, add_terms({}, pairs))
 
 
 def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:

@@ -120,7 +120,7 @@ class _Parser:
             sign = -one
         terms = {}
         while True:
-            add_terms(terms, self.term(sign).terms.items(), self.algebra.field.zero)
+            add_terms(terms, self.term(sign).terms.items())
             if self.peek() not in ("+", "-"):
                 return Element(self.algebra, terms)
             sign = -one if self.take()[0] == "-" else one

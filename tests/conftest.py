@@ -222,7 +222,7 @@ def normal_by_worklist(alg: LeavittAlgebra, raw: dict, chooser=None) -> dict:
         m, c = work.pop(idx)
         e = alg._reducible_edge(m)
         if e is None:
-            add_terms(out, [(m, c)], alg.field.zero)
+            add_terms(out, [(m, c)])
             continue
         p1 = Path(m.left.start, m.left.edges[:-1], e.src)
         q1 = Path(m.right.start, m.right.edges[:-1], e.src)
@@ -239,7 +239,7 @@ def product_by_premerge(a: Element, b: Element) -> Element:
     alg = a.algebra
     products = ((m, c1 * c2) for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()
                 if (m := monomial_product(m1, m2)) is not None)
-    raw = add_terms({}, products, alg.field.zero)
+    raw = add_terms({}, products)
     return Element(alg, alg._normal(raw.items()))
 
 
@@ -397,7 +397,7 @@ def conjugate_by_truncation(alg: LeavittAlgebra, x, w: str, K) -> TruncatedEleme
     for left, operand in branches:
         wrapped = ((Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
                    for m, c in operand.terms.items())
-        add_terms(raw, wrapped, alg.field.zero)
+        add_terms(raw, wrapped)
 
     def kept(L):
         return Element(alg, {m: c for m, c in raw.items() if order_of(special, m) < L})
@@ -420,7 +420,7 @@ def conjugation_step_by_normal_form(alg: LeavittAlgebra, W, vec, Kw) -> dict:
                 (Monomial(g.concat(left, m.left), g.concat(left, m.right)), c)
                 for m, c in x.body.terms.items()
             )
-            add_terms(raw, wrapped, alg.field.zero)
+            add_terms(raw, wrapped)
         out[w] = truncate(alg.element(raw), prec)
     return out
 

@@ -148,7 +148,7 @@ def test_normal_form_reduction_order_independent(alg_a, alg_b):
             pairs += [(m, coerce(part)), (m, coerce(int(c) - part)), (m, coerce(0))]
             pairs += [(m, coerce(part)), (m, coerce(-part))]
         mix.shuffle(pairs)
-        merged = add_terms({}, pairs, over.field.zero)
+        merged = add_terms({}, pairs)
         assert over._normal(iter(pairs)) == normal_by_worklist(over, merged)
 
 
@@ -190,9 +190,9 @@ def test_product_streams_into_one_merge(alg_a, alg_b, monkeypatch):
     assert repeats > 20
     calls = []
 
-    def counting(terms, pairs, zero):
+    def counting(terms, pairs):
         calls.append(terms)
-        return add_terms(terms, pairs, zero)
+        return add_terms(terms, pairs)
 
     a = parse(alg_a, "e + e e* + 2 f f* - e e e* e*")
     b = a.star()

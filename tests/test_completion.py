@@ -688,23 +688,35 @@ def test_diagonal_products_match_the_normal_form_product():
 
 
 def test_diagonal_cut_by_length_matches_the_order_cut():
-    # a diagonal element read below a sequence of levels, rising and
-    # falling, gives at each the order cut of its whole body, though only a
-    # read above every earlier one calls its maker, and the others cut the
-    # kept read by length
+    # an element read below a sequence of levels, rising and falling, gives
+    # at each the order cut of its whole body, though only a read above
+    # every earlier one runs its maker, and the others cut the kept read:
+    # by length for a diagonal element, by order for the products, sums and
+    # truncations of ``_fresh_makers``
     rng = random.Random(22)
-    reads = 0
+    reads = Counter()
     for i in range(30):
         g = random_graph(rng, 5, 9)
         for special in (construct_regular(g), random_specialization(rng, g)):
             alg = LeavittAlgebra(special)
-            for make in _diagonal_makers(rng, alg, 6):
+            makers = [("diagonal", make) for make in _diagonal_makers(rng, alg, 6)]
+            makers += [(name, make) for name, make in _fresh_makers(rng, alg)[0]
+                       if name in ("trunc_mul", "trunc_add", "truncate")]
+            for name, make in makers:
                 body = make().body
-                x = make()
+                x, runs, want = make(), [], []
+                top = None if x._read is None else x._level  # a held body is kept at prec
+                maker = x._make
+                x._make = lambda L, maker=maker: runs.append(L) or maker(L)
                 for L in rng.sample([0, Fraction(1, 2), 1, 2, Fraction(7, 2), 4, 5, 6], 8):
-                    assert x.below(L) == completion._below(body, L), (special, L)
-                    reads += len(body.terms) > len(x.below(L).terms)
-    assert reads > 500, reads
+                    got = x.below(L)
+                    assert got == completion._below(body, L), (special, name, L)
+                    reads[name] += len(body.terms) > len(got.terms)
+                    if top is None or min(L, x.prec) > top:
+                        top = min(L, x.prec)
+                        want.append(top)
+                assert runs == want, (special, name, runs)
+    assert reads["diagonal"] > 500 and min(reads.values()) > 50, reads
 
 
 def test_diagonal_reads_keep_the_largest(alg_a, monkeypatch):

@@ -271,6 +271,29 @@ def test_vertex_laws_build_each_vertex_idempotent_once_per_working_precision(mon
     assert len(calls) == len(set(calls)) == 12, calls
 
 
+def test_vertex_laws_read_the_vertex_coefficient_below_one(monkeypatch):
+    # the coefficient check reads e_v below 1, a cut of the read the judge
+    # kept, so no branch sum is built at the certifying Kw: rose(4) at K=12
+    # runs the recovery operator 3 times (189 terms returned) and complete(4)
+    # at K=6 12 times (360), where reading the whole body ran it 4 and 16
+    # times (228 and 444 terms)
+    returned = []
+    original = completion.conjugate
+
+    def counting(*args):
+        t = original(*args)
+        returned.append(len(t.body.terms))
+        return t
+
+    monkeypatch.setattr(completion, "conjugate", counting)
+    for family, n, K, calls, terms in (("rose", 4, 12, 3, 189), ("complete", 4, 6, 12, 360)):
+        alg = LeavittAlgebra(construct_regular(family_graph(family, n)))
+        returned.clear()
+        verdicts = check_vertex_idempotent_laws(alg, K)
+        assert [v.status for v in verdicts] == ["pass"] * 4
+        assert (len(returned), sum(returned)) == (calls, terms), family
+
+
 def test_separation_samples_are_made_once_per_check(alg_a, monkeypatch):
     # on toeplitz/gammaA at K=4 component separation escalates through five
     # rounds; its samples are listed once per ordered pair of vertices in
