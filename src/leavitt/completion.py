@@ -8,9 +8,9 @@ body itself only keeps terms of order < K, and ``prec == inf`` means the
 value is exact.  The precision is fixed when the element is made; terms
 are built only when read.  ``below(L)`` returns the body's terms of order
 below a level L <= prec, and ``body`` is ``below(prec)``.  Products, sums
-and vertex idempotents defer their terms, and a caller that reads below L
-forms only what that level needs.  An element keeps its largest read so
-far, and every lower read is a cut of it.  A product of two inexact
+and the idempotents e(W) and e_v defer their terms, and a caller that reads
+below L forms only what that level needs.  An element keeps its largest
+read so far, and every lower read is a cut of it.  A product of two inexact
 operands reads the body of each operand that is not diagonal to fix its
 precision, so even working-precision escalation, which reads only
 precisions, forms such operands.
@@ -24,7 +24,8 @@ subalgebra: (x x*)(y y*) is the projection of the longer path when one
 path is a prefix of the other, and 0 otherwise, with no rewriting.  The
 makers of diagonal elements say so, and ``trunc_mul`` uses it to fix its
 precision without reading a diagonal operand, to split without scanning
-one, and to multiply by prefix lookup; a diagonal read is cut by length.
+one, to read one only as deep as the other operand's terms need, and to
+multiply by prefix lookup; a diagonal read is cut by length.
 
 Precision propagates through products via ``product_precision`` plus one
 unit of slack: rewriting a dropped-tail product onto the storage basis can
@@ -164,7 +165,9 @@ def _split_level(special: Specialization, L: Order, terms) -> Order:
     ``terms`` normalises to order >= L, that is product_precision(k, m) - 1
     >= L: k >= 2(L + 1) + 1 and k >= 2(s + d + 1)(L + 1) - n + d.  A term of
     weight s + d + 1 = 1, as every term of a diagonal element is, needs only
-    the first bound, so a diagonal operand passes no terms."""
+    the first bound, so a diagonal operand passes no terms, and the other
+    operand is read below 2L + 3.  The diagonal operand itself is read below
+    ``_diagonal_split_level``, lower, as its products need no rewriting."""
     if L == INF:
         return INF
     num, den = L.numerator + L.denominator, L.denominator  # L + 1
@@ -172,6 +175,32 @@ def _split_level(special: Specialization, L: Order, terms) -> Order:
     for m in terms:
         n, s, d = params_of(special, m)
         top = max(top, 2 * (s + d + 1) * num - (n - d) * den)
+    return Fraction(top, den)
+
+
+def _diagonal_split_level(L: Order, terms) -> Order:
+    """The least k at which the projections p p* of a diagonal operand with
+    2|p| >= k, times any of the basic monomials ``terms`` on either side,
+    give only terms of order >= L: the largest, over the terms a b*, of
+    max(2 max(|a|, |b|) + 1, L(D + 1) + D), D = ||a| - |b||.
+
+    Such a p is longer than a and b, as 2|p| > 2 max(|a|, |b|).  By the
+    prefix identities of ``_diagonal_times``, (p p*)(a b*) is then 0 or
+    (p, b p') with p = a p'.  Both paths end in p's last edge, which is not
+    special, so the term is basic, with no rewriting and so no slack, and it
+    has s = 0, degree ||p| - |b p'|| = D and order (2|p| - |a| + |b|)/(D + 1)
+    >= (2|p| - D)/(D + 1) >= L.  (a b*)(p p*) is (a p', p) with p = b p',
+    of order (2|p| - |b| + |a|)/(D + 1), and the same bound holds.  Terms of
+    order >= L can only cancel one another, so a read of the diagonal
+    operand below k leaves the product's terms below L as they are.
+    """
+    if L == INF:
+        return INF
+    num, den = L.numerator, L.denominator
+    top = 0
+    for a, b in {(len(m.left.edges), len(m.right.edges)) for m in terms}:
+        D = abs(a - b)
+        top = max(top, (2 * max(a, b) + 1) * den, num * (D + 1) + D * den)
     return Fraction(top, den)
 
 
@@ -231,14 +260,17 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     so product_precision(k, m) = max((k - 1)/2, 0), never below the bound
     (min(prec) - 1)/2, as k is the other operand's precision.
 
-    Read below L, the product first reads all of x, which is the diagonal
-    operand when just one is diagonal (its split level needs no read), b
-    when only b is exact (the precision read b's terms) and a otherwise.  It
-    reads the other operand, y, below the ``_split_level`` k_y of x's terms,
-    and then x below the level k_x of the terms of y it read.  As x y =
-    x y_hi + x_lo y_lo + x_hi y_lo, and the first and last parts normalise
-    to order >= L, the terms below L are those of x_lo y_lo.  A diagonal x
-    multiplies by prefix lookup, ``_diagonal_times``.  When both operands
+    Read below L, the product names one operand x: the diagonal operand
+    when just one is diagonal, b when only b is exact (the precision read
+    b's terms) and a otherwise.  It reads the other operand, y, below the
+    ``_split_level`` k_y of x's terms, 2L + 3 for a diagonal x, which is not
+    read for it, and then x below the level k_x of the terms of y it read:
+    ``_split_level`` again, or ``_diagonal_split_level`` for a diagonal x,
+    whose terms p p* beyond it meet y's terms in basic terms of order >= L
+    (the proof is in its docstring).  As x y = x y_hi + x_lo y_lo +
+    x_hi y_lo, and the first and last parts normalise to order >= L, the
+    terms below L are those of x_lo y_lo.  A diagonal x multiplies by
+    prefix lookup, ``_diagonal_times``.  When both operands
     are diagonal, so is the product: each of its terms is the longer of two
     projections, so the terms below L are the product of the operands'
     terms below L.
@@ -259,10 +291,12 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     def make(L):
         if diagonal:
             return _diagonal_times(a.below(L), b.below(L), True)
-        y_lo = y.below(_split_level(special, L, () if x.diagonal else x.body.terms))
-        x_lo = x.below(_split_level(special, L, y_lo.terms))
         if x.diagonal:
+            y_lo = y.below(_split_level(special, L, ()))
+            x_lo = x.below(_diagonal_split_level(L, y_lo.terms))
             return _below(_diagonal_times(x_lo, y_lo, not swap), L)
+        y_lo = y.below(_split_level(special, L, x.body.terms))
+        x_lo = x.below(_split_level(special, L, y_lo.terms))
         return _below(y_lo * x_lo if swap else x_lo * y_lo, L)
 
     return TruncatedElement(alg, prec, make, diagonal)
@@ -348,15 +382,23 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
 
     The value is exact iff no path of length ``_enumeration_cutoff`` avoids
     W and every state reached is live, which a forward pass over the states
-    decides before any term is built.  Otherwise terms of order >= K are
-    dropped, and early: a term p p* of F(u, d, r) other than u ends in a
-    non-special edge, so wrapping never rewrites it and its order ends up
-    2(d + |p|) >= 2(d + 1).  The body kept is held at precision K with no
-    cut after: by induction from the deepest level, every such term has
-    2(d + |p|) < K, as a child's terms gain one edge when wrapped and new
-    terms of length 1 are kept only while 2(d + 1) < K.  So at d = 0 each
-    term has order 2|p| < K or is a vertex, of order 0, and K = 0 leaves
-    no live state.
+    decides; the pass fixes the precision, K or inf, and the live states,
+    and nothing more is built until a read.  Read below L, a backward pass
+    over those states builds F in the diagonal.  A term of F other than a
+    vertex is a projection p p* with p ending in a non-special edge, so
+    wrapping it in e gives (e p)(e p)*, already basic, and a vertex term
+    c r(e) gives c e e*, basic unless e is special.  Only there does the
+    vertex relation rewrite it, to c u - sum of c f f* over the other edges
+    f at u, all of them: no other step needs a normal form.  A term p p* of
+    F(u, d, r) other than u is never rewritten again, so its order ends up
+    2(d + |p|): the pass drops it once that reaches L, which keeps just the
+    terms of order below L, while vertex terms, the only ones a parent
+    rewrites, are always kept (and the read below 0 is empty).
+
+    A read below L is not e(W) built at working precision L: the live
+    states of a lower precision are fewer, and since e e* = u - sum of f f*
+    for a special e, dropping a state changes the low-order terms it feeds
+    through vertex terms.  So every read runs over the live states of K.
     """
     K = as_order(K)
     g = alg.graph
@@ -369,7 +411,7 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
     num, den = K.numerator, K.denominator
     budget = num * (2 * _special_depth(special, W) + 1)
     dist = g.distances_to(W)
-    steps = {u: [(Path(u, (e.name,), e.dst), special.is_special(e.name))
+    steps = {u: [(e.name, e.dst, special.is_special(e.name))
                  for e in g.out_edges(u) if e.dst in dist]
              for u in dist if u not in W}
     levels = []  # the live states (u, r) at each depth d
@@ -381,26 +423,46 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
                 if 2 * (d + dist[u]) * den < (num * (2 * r + 1) if u in W else budget)}
         dropped |= len(live) < len(states)
         levels.append(live)
-        states = {(head.end, r + 1 if on_special else 0)
-                  for u, r in live if u not in W for head, on_special in steps[u]}
+        states = {(v, r + 1 if on_special else 0)
+                  for u, r in live if u not in W for _, v, on_special in steps[u]}
     inexact = dropped or _outside_path_reaches(g, W, _enumeration_cutoff(g, K))
-    below: dict = {}  # F at depth d + 1
-    for d in reversed(range(len(levels))):
-        here = {}
-        for u, r in levels[d]:
-            if u in W:
-                here[u, r] = alg.vertex(u).terms
-                continue
-            wrapped = ((Monomial(g.concat(head, m.left), g.concat(head, m.right)), c)
-                       for head, on_special in steps[u]
-                       for m, c in below.get((head.end, r + 1 if on_special else 0), {}).items())
-            terms = alg.element(wrapped).terms
-            if inexact and 2 * (d + 1) * den >= num:
-                terms = {m: c for m, c in terms.items() if not m.left.edges}
-            here[u, r] = terms
-        below = here
-    body = Element(alg, {m: c for terms in below.values() for m, c in terms.items()})
-    return _held(body, K if inexact else INF, diagonal=True)
+
+    def make(L):
+        if not L:
+            return Element(alg, {})
+        room = INF if L == INF else math.ceil(L / 2)  # 2n < L iff n < room
+        one = alg.field.one
+        point = {u: Monomial(Path(u, (), u), Path(u, (), u)) for u in dist}
+        edge = {f.name: Monomial(Path(u, (f.name,), f.dst), Path(u, (f.name,), f.dst))
+                for u in steps for f in g.out_edges(u)}
+        rest = {u: [edge[f.name] for f in g.out_edges(u) if not special.is_special(f.name)]
+                for u in steps}
+        below: dict = {}  # F at depth d + 1, as terms
+        for d in reversed(range(len(levels))):
+            short = d + 1 < room  # a new term f f* at depth d ends up of length d + 1
+            here = {}
+            for u, r in levels[d]:
+                if u in W:
+                    here[u, r] = {point[u]: one}
+                    continue
+                pairs = []
+                for name, v, on_special in steps[u]:
+                    for m, c in below.get((v, r + 1 if on_special else 0), {}).items():
+                        p = m.left
+                        if p.edges:
+                            q = Path(u, (name,) + p.edges, p.end)
+                            pairs.append((Monomial(q, q), c))
+                        elif on_special:  # c e e* = c u - sum of c f f*, f != e at u
+                            pairs.append((point[u], c))
+                            if short:
+                                pairs += [(t, -c) for t in rest[u]]
+                        elif short:
+                            pairs.append((edge[name], c))
+                here[u, r] = add_terms({}, pairs)
+            below = here
+        return Element(alg, {m: c for terms in below.values() for m, c in terms.items()})
+
+    return TruncatedElement(alg, K if inexact else INF, make, diagonal=True)
 
 
 def _walk_vertices(alg: LeavittAlgebra, w: str, K: Order) -> frozenset:

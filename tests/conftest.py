@@ -13,6 +13,7 @@ from leavitt.algebra import Element, add_terms, monomial_product
 from leavitt.completion import (
     TruncatedElement,
     _enumeration_cutoff,
+    _held,
     _outside_path_reaches,
     _special_depth,
     arrival_idempotent,
@@ -36,6 +37,7 @@ from leavitt.structure import (FAIL, PASS, REFUSED, SAMPLE_LEN, SAMPLED_PASS, Ve
 
 ROOT = FsPath(__file__).resolve().parent.parent
 DATA = ROOT / "data"
+INPUTS = ROOT / "tests" / "inputs"
 
 CORPUS = ("loop", "toeplitz", "rose2", "twocycle", "line", "y", "g3")
 
@@ -360,6 +362,57 @@ def arrival_idempotent_by_pruned_search(alg: LeavittAlgebra, W, K):
     if dropped or _outside_path_reaches(g, W, _enumeration_cutoff(g, K)):
         return truncate(body, K)
     return exact(body)
+
+
+def arrival_idempotent_eager(alg: LeavittAlgebra, W, K) -> TruncatedElement:
+    """e(W) with its whole body built at K: the same forward pass over the
+    states (u, d, r) as ``arrival_idempotent``, then a backward pass that
+    wraps each child term on both sides and puts every state's sum through
+    ``alg.element``'s normal-form pass, dropping the terms p p* of F(u, d, r)
+    other than vertices once 2(d + 1) >= K when the value is inexact."""
+    K = as_order(K)
+    g = alg.graph
+    W = frozenset(W)
+    if not g.is_hereditary(W):
+        raise ValueError(f"{sorted(W)} is not hereditary")
+    if K == INF:
+        raise ValueError("arrival idempotents need a finite working precision")
+    special = alg.special
+    num, den = K.numerator, K.denominator
+    budget = num * (2 * _special_depth(special, W) + 1)
+    dist = g.distances_to(W)
+    steps = {u: [(Path(u, (e.name,), e.dst), special.is_special(e.name))
+                 for e in g.out_edges(u) if e.dst in dist]
+             for u in dist if u not in W}
+    levels = []
+    states = {(u, 0) for u in dist}
+    dropped = False
+    while states:
+        d = len(levels)
+        live = {(u, r) for u, r in states
+                if 2 * (d + dist[u]) * den < (num * (2 * r + 1) if u in W else budget)}
+        dropped |= len(live) < len(states)
+        levels.append(live)
+        states = {(head.end, r + 1 if on_special else 0)
+                  for u, r in live if u not in W for head, on_special in steps[u]}
+    inexact = dropped or _outside_path_reaches(g, W, _enumeration_cutoff(g, K))
+    below: dict = {}
+    for d in reversed(range(len(levels))):
+        here = {}
+        for u, r in levels[d]:
+            if u in W:
+                here[u, r] = alg.vertex(u).terms
+                continue
+            wrapped = ((Monomial(g.concat(head, m.left), g.concat(head, m.right)), c)
+                       for head, on_special in steps[u]
+                       for m, c in below.get((head.end, r + 1 if on_special else 0), {}).items())
+            terms = alg.element(wrapped).terms
+            if inexact and 2 * (d + 1) * den >= num:
+                terms = {m: c for m, c in terms.items() if not m.left.edges}
+            here[u, r] = terms
+        below = here
+    body = Element(alg, {m: c for terms in below.values() for m, c in terms.items()})
+    return _held(body, K if inexact else INF, diagonal=True)
 
 
 def _walk_branches(special: Specialization, v: str, K):

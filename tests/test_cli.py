@@ -80,6 +80,18 @@ GOLDEN_CASES = {
         "--gamma", "tests/inputs/escalating5_gamma.json", "--prec", "7/2", "--suite", "lemma10",
         "--json",
     ],
+    # lemma 10 at K=5 on two graphs that are not frame-finite, where
+    # building e(W) in full at each working precision took about 10 s
+    "verify_escalating5_lemma10_prec5.json": [
+        "verify", "--graph", "tests/inputs/escalating5.json",
+        "--gamma", "tests/inputs/escalating5_gamma.json", "--prec", "5", "--suite", "lemma10",
+        "--json",
+    ],
+    "verify_escalating6_lemma10_prec5.json": [
+        "verify", "--graph", "tests/inputs/escalating6.json",
+        "--gamma", "tests/inputs/escalating6_gamma.json", "--prec", "5", "--suite", "lemma10",
+        "--json",
+    ],
 }
 
 

@@ -31,15 +31,17 @@ from leavitt import (
 
 from leavitt import algebra, completion
 from leavitt.algebra import Element
-from leavitt.completion import TruncatedElement, _special_depth, conjugate
+from leavitt.completion import TruncatedElement, _below, _special_depth, conjugate
 from leavitt.filtration import order_key, order_of
 from leavitt.structure import _judge
 
 from conftest import (
     CORPUS,
+    INPUTS,
     arrival_enumeration_by_bfs,
     arrival_idempotent_by_bfs,
     arrival_idempotent_by_pruned_search,
+    arrival_idempotent_eager,
     family_graph,
     hereditary_sets_bruteforce,
     judge_by_full_bodies,
@@ -438,10 +440,11 @@ def test_arrival_idempotent_matches_pruned_search_oracle():
 
 def test_arrival_terms_kept_on_chain_to_rose(monkeypatch):
     # on the chain c0 -> c1 -> c2 -> r with a loop at each c_i and two
-    # petals at r, e({r}) is built one state at a time: at working
-    # precisions 7, 14 and 28, alg.element is called 136, 280 and 574 times
-    # with 182, 386 and 806 terms in all, at most 2 per call, where one call
-    # on every kept arrival path took 274, 1,736 and 13,076 terms
+    # petals at r, e({r}) is built in the diagonal, one state at a time: at
+    # working precisions 7, 14 and 28 no alg.element call is made, where a
+    # normal-form pass per state made 136, 280 and 574 calls with 182, 386
+    # and 806 terms in all, and one call on every kept arrival path took
+    # 274, 1,736 and 13,076 terms
     vertices = ["c0", "c1", "c2", "r"]
     edges = [("p0", "r", "r"), ("p1", "r", "r")]
     for i in range(3):
@@ -460,11 +463,79 @@ def test_arrival_terms_kept_on_chain_to_rose(monkeypatch):
         calls.append([])
         e = arrival_idempotent(alg, {"r"}, Kw)
         assert e.prec == Kw and e.body == parse(alg, "c0 + c1 + c2 + r")
-    assert [len(sizes) for sizes in calls] == [136, 280, 574]
-    assert [sum(sizes) for sizes in calls] == [182, 386, 806]
-    assert max(max(sizes) for sizes in calls) == 2
+    assert calls == [[], [], []]
     # the state loop needs no recursion as Kw grows
     assert arrival_idempotent(alg, {"r"}, 224).render() == "c0 + c1 + c2 + r + O(V_224)"
+
+
+def _arrival_algebras(rng, graphs):
+    """(algebra, working precisions) over ``graphs`` seeded random graphs,
+    under construct_regular and a random specialization, over QQ and (every
+    third graph) F_7, at K in {2, 7/2, 9, 14}, and over the two escalating
+    inputs, which are not frame-finite, at 26 as well."""
+    levels = (2, Fraction(7, 2), 9, 14)
+    cases = []
+    for i in range(graphs):
+        g = random_graph(rng, 7, 13)
+        field = PrimeField(7) if i % 3 == 0 else QQ
+        cases += [(LeavittAlgebra(special, field), levels)
+                  for special in (construct_regular(g), random_specialization(rng, g))]
+    for name in ("escalating5", "escalating6"):
+        g = Graph.load(INPUTS / f"{name}.json")
+        special = Specialization.load(g, INPUTS / f"{name}_gamma.json")
+        cases.append((LeavittAlgebra(special), levels + (26,)))
+    return cases
+
+
+def test_arrival_reads_match_the_eager_body():
+    # e(W) is built only below the level read, over the live states of its
+    # working precision K: a fresh read below L, and every read of a
+    # rising, falling or shuffled sequence on one element, is the whole
+    # body that arrival_idempotent_eager builds at K cut below L, and the
+    # precision is the eager one; for W over the frame and V
+    rng = random.Random(28)
+    reads = Counter()
+    for alg, levels in _arrival_algebras(rng, 60):
+        g = alg.graph
+        for W in g.frame() + [frozenset(g.vertices)]:
+            for K in levels:
+                eager = arrival_idempotent_eager(alg, W, K)
+                assert arrival_idempotent(alg, W, K).prec == eager.prec, (alg, W, K)
+                body = eager.body
+                below = [L for L in (0, Fraction(1, 2), 1, 3, Fraction(7, 2), 6, 9, 13, 20, K)
+                         if L <= K]
+                for L in below:
+                    got = arrival_idempotent(alg, W, K).below(L)
+                    assert got == _below(body, L), (alg, W, K, L)
+                    reads["cut"] += len(got.terms) < len(body.terms)
+                for seq in (below, below[::-1], rng.sample(below, len(below))):
+                    x = arrival_idempotent(alg, W, K)
+                    for L in seq:
+                        assert x.below(L) == _below(body, L), (alg, W, K, seq, L)
+                    assert x.body == body, (alg, W, K)
+                reads["large"] += len(body.terms) > 100
+    assert reads["cut"] > 1500 and reads["large"] == 2, reads
+
+
+def test_arrival_idempotent_builds_no_body_until_read(alg_a, monkeypatch):
+    # the forward pass fixes the precision and the live states; the body
+    # waits for a read, which builds only below its level
+    pairs = []
+    original = completion.add_terms
+
+    def counting(terms, new):
+        new = list(new)
+        pairs.append(len(new))
+        return original(terms, new)
+
+    monkeypatch.setattr(completion, "add_terms", counting)
+    e = arrival_idempotent(alg_a, {"w"}, 40)
+    assert e.prec == 40 and e.diagonal and e._read is None and not pairs
+    assert e.below(0) == alg_a.zero() and not pairs
+    want = arrival_idempotent_eager(alg_a, {"w"}, 40).body
+    assert e.below(5) == _below(want, 5)
+    low = sum(pairs)
+    assert e.body == want and 0 < 4 * low < sum(pairs) - low, pairs
 
 
 def test_arrival_idempotent_holds_its_body_uncut(monkeypatch):
@@ -685,6 +756,63 @@ def test_diagonal_products_match_the_normal_form_product():
                         assert (got.prec, got.body) == (want.prec, want.body), (special, K)
                         kinds[f is m, h is m, bool(got.body.terms), got.is_exact] += 1
     assert len(kinds) >= 10 and min(kinds.values()) > 5, kinds
+
+
+def test_diagonal_split_level_matches_the_eager_product():
+    # a product of a diagonal x and an inexact y that is not diagonal reads
+    # y below 2L + 3 and x only below the diagonal split level of the terms
+    # of y read; in both orders it equals trunc_mul_eager in precision and
+    # body, and a fresh read below L equals the eager body cut below L; on
+    # seeded random graphs under construct_regular and a random
+    # specialization, over QQ and (every third graph) F_7, with y long or
+    # short, so that either bound of the split level can decide it
+    rng = random.Random(29)
+    seen = Counter()
+    for i in range(50):
+        g = random_graph(rng, 5, 9)
+        for special in (construct_regular(g), random_specialization(rng, g)):
+            alg = LeavittAlgebra(special, PrimeField(7) if i % 3 == 0 else QQ)
+            for K in (Fraction(7, 2), 9, 24):
+                diagonal = _diagonal_makers(rng, alg, K)
+                a, b = (random_element(rng, alg, terms=5, max_len=4) for _ in range(2))
+                c = random_element(rng, alg, terms=2, max_len=2)
+                level = Fraction(rng.randint(2, 48), rng.randint(1, 2))
+                others = [lambda: truncate(a, level), lambda: truncate(c, level),
+                          lambda: trunc_mul(exact(b), truncate(a, level))]
+                for _ in range(3):
+                    d, m = rng.choice(diagonal), rng.choice(others)
+                    assert d().diagonal and not m().diagonal and not m().is_exact
+                    for f, h in ((d, m), (m, d)):
+                        got, want = trunc_mul(f(), h()), trunc_mul_eager(f(), h())
+                        assert (got.prec, got.body) == (want.prec, want.body), (special, K)
+                        for L in (Fraction(1, 2), 1, 2, Fraction(7, 2), 5, 8, 11):
+                            if L <= want.prec:
+                                assert trunc_mul(f(), h()).below(L) == _below(want.body, L)
+                        seen[f is d, bool(want.body.terms)] += 1
+    assert len(seen) == 4 and min(seen.values()) > 100, seen
+
+
+def test_diagonal_split_level_is_tight():
+    # e_v for a special loop s at v and a non-special f: v -> w, with w
+    # also reached by the special edge e from u, is v - f f* - s f f* s* - ...
+    # Its products with v + f e* show each bound of the diagonal split level
+    # at work: below 2, f e* cancels between v and f f*, and a read of e_v
+    # below 2 max(|f|, |e|) = 2 would drop f f* and keep f e*; below 5,
+    # s f f* s* (order 4) is kept, and a read below L(D + 1) + D - 1 = 4
+    # would drop it
+    g = Graph(["v", "u", "w"], [("f", "v", "w"), ("s", "v", "v"), ("e", "u", "w"),
+                                ("t", "u", "u")])
+    alg = LeavittAlgebra(Specialization(g, {"v": "s", "u": "e"}))
+    y = parse(alg, "v + f e*")
+    for swap in (False, True):
+        operands = [vertex_idempotent(alg, "v", 24), truncate(y, 20)][::-1 if swap else 1]
+        want = trunc_mul_eager(*operands)
+        assert want.prec == Fraction(11, 2)
+        assert _below(want.body, 2) == parse(alg, "v")
+        assert "s f f* s*" in str(_below(want.body, 5))
+        for L in (1, 2, 3, 4, 5, want.prec):
+            operands = [vertex_idempotent(alg, "v", 24), truncate(y, 20)][::-1 if swap else 1]
+            assert trunc_mul(*operands).below(L) == _below(want.body, L), (swap, L)
 
 
 def test_diagonal_cut_by_length_matches_the_order_cut():

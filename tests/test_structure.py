@@ -1,4 +1,6 @@
+import contextlib
 import random
+import resource
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -27,7 +29,8 @@ from leavitt import (
 )
 from leavitt import completion, structure
 from leavitt.algebra import Element
-from leavitt.completion import TruncatedElement, conjugate, truncate
+from leavitt.completion import TruncatedElement, conjugate, equal_mod, truncate
+from leavitt.filtration import order_key
 from leavitt.graph import format_vertex_set
 
 import conftest
@@ -274,9 +277,11 @@ def test_vertex_laws_build_each_vertex_idempotent_once_per_working_precision(mon
 def test_vertex_laws_read_the_vertex_coefficient_below_one(monkeypatch):
     # the coefficient check reads e_v below 1, a cut of the read the judge
     # kept, so no branch sum is built at the certifying Kw: rose(4) at K=12
-    # runs the recovery operator 3 times (189 terms returned) and complete(4)
-    # at K=6 12 times (360), where reading the whole body ran it 4 and 16
-    # times (228 and 444 terms)
+    # runs the recovery operator 3 times (81 terms returned) and complete(4)
+    # at K=6 12 times (144), where reading the whole body ran it 4 and 16
+    # times (228 and 444 terms); a product reads a diagonal e_v only below
+    # the level its other operand's terms need, where reading it below the
+    # weight-1 split level 2L + 3 returned 189 and 360 terms
     returned = []
     original = completion.conjugate
 
@@ -286,7 +291,7 @@ def test_vertex_laws_read_the_vertex_coefficient_below_one(monkeypatch):
         return t
 
     monkeypatch.setattr(completion, "conjugate", counting)
-    for family, n, K, calls, terms in (("rose", 4, 12, 3, 189), ("complete", 4, 6, 12, 360)):
+    for family, n, K, calls, terms in (("rose", 4, 12, 3, 81), ("complete", 4, 6, 12, 144)):
         alg = LeavittAlgebra(construct_regular(family_graph(family, n)))
         returned.clear()
         verdicts = check_vertex_idempotent_laws(alg, K)
@@ -754,6 +759,83 @@ def test_lemma_suites_split_all_on_random_graphs():
                     rest.remove(v)  # raises unless v is in "all" and not yet claimed
             assert rest == sorted(decompose(alg, K).checks, key=lambda v: v.name)
     assert cases >= 10
+
+
+def test_central_idempotent_reads_e_w_only_in_the_certifying_round(monkeypatch):
+    # on chain_to_rose(3) at K=2, central-idempotent[{r}] escalates Kw
+    # 7 -> 14 -> 28: the rounds at 7 and 14 read only precisions, so no
+    # e(W) maker runs there, and the round at 28 reads e(W) below 28
+    alg = LeavittAlgebra(construct_regular(family_graph("chain_to_rose", 3)))
+    made, reads = [], []
+    original = structure.arrival_idempotent
+
+    def recording(alg, W, Kw):
+        made.append(Kw)
+        e = original(alg, W, Kw)
+        make = e._make
+        e._make = lambda L: reads.append((Kw, L)) or make(L)
+        return e
+
+    monkeypatch.setattr(structure, "arrival_idempotent", recording)
+    verdict = check_central_idempotent(alg, {"r"}, 2)
+    assert verdict.status == "pass" and verdict.achieved == Fraction(11, 3)
+    assert made == [7, 14, 28]
+    assert reads and all(Kw == 28 and L < 28 for Kw, L in reads), reads
+
+
+@contextlib.contextmanager
+def _address_space_cap(extra):
+    """Lower this process's soft address-space limit to its current size
+    plus ``extra`` bytes, so that a build that explodes raises MemoryError
+    in the test instead of exhausting the host."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_certified_sides_agree_at_twice_the_working_precision(monkeypatch):
+    # every side that a check certifies at Kw agrees, to the precision it
+    # claims, with the same side rebuilt at 2 Kw (exact sides compare
+    # bodies), and every term of a side flagged diagonal is a projection of
+    # weight 1; over run_suite(alg, "all", K) on seeded random graphs under
+    # construct_regular and a random specialization, K in {2, 7/2}, frame-
+    # finite or not, with the verdicts those of an unaudited run.  The
+    # process may grow by at most 512 MiB while the suites run
+    audited = Counter()
+    original = structure._escalated
+
+    def auditing(requested, pairs_at):
+        rounds = []
+        pairs = original(requested, lambda Kw: rounds.append(Kw) or pairs_at(Kw))
+        again = pairs_at(2 * rounds[-1])
+        for (lhs, rhs, label), (lhs2, rhs2, _) in zip(pairs, again, strict=True):
+            for side, side2 in ((lhs, lhs2), (rhs, rhs2)):
+                assert equal_mod(side, side2, side.prec), (label, rounds[-1])
+                if side.diagonal:
+                    special = side.algebra.special
+                    assert all(m.left == m.right and order_key(special, m)[1] == 1
+                               for m in side.body.terms), label
+                audited[side.diagonal, side.is_exact] += 1
+        return pairs
+
+    rng = random.Random(2000)
+    cases = []
+    for _ in range(20):
+        g = random_graph(rng, 6, 11)
+        for special in (construct_regular(g), random_specialization(rng, g)):
+            cases += [(LeavittAlgebra(special), K) for K in (2, Fraction(7, 2))]
+    plain = [run_suite(alg, "all", K) for alg, K in cases]
+    monkeypatch.setattr(structure, "_escalated", auditing)
+    with _address_space_cap(512 << 20):
+        for (alg, K), want in zip(cases, plain):
+            assert run_suite(alg, "all", K) == want, (alg.special, K)
+    assert len(audited) == 4 and min(audited.values()) > 100, audited
 
 
 def test_run_suite_refusals_not_failures(alg_a):
