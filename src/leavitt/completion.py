@@ -42,15 +42,15 @@ depends on both, so the algebra is part of the value's identity.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
 
 from .algebra import Element, LeavittAlgebra, Monomial, add_terms
-from .filtration import (INF, Order, as_order, format_order, order_key, params_of,
-                         product_precision)
-from .filtration import order_of  # noqa: F401  bench/selftest.py traces this binding
+from .filtration import (INF, Order, as_order, format_order, least_level, order_key, params_of,
+                         tail_order)
+# bench/selftest.py traces these bindings
+from .filtration import order_of, product_precision  # noqa: F401
 from .graph import Graph, Path
 from .specialization import Specialization
 
@@ -79,18 +79,21 @@ class TruncatedElement:
     def below(self, L: Order) -> Element:
         """The body's terms of order below L; the whole body, built once,
         for L >= prec."""
-        L = min(L, self.prec)
-        if self._read is None or self._level < L:
+        prec, level = self.prec, self._level
+        if L is INF or (prec is not INF and prec <= L):
+            L = prec
+        if self._read is None or (level is not INF and (L is INF or level < L)):
             self._read, self._level = self._make(L), L
-            if L == self.prec:
+            if L is prec:
                 del self._make  # release the operands the maker holds
-        if L >= self._level:
+            return self._read
+        if L is level or (level is not INF and L == level):
             return self._read
         return _cut(self._read, L) if self.diagonal else _below(self._read, L)
 
     @property
     def is_exact(self) -> bool:
-        return self.prec == INF
+        return self.prec is INF
 
     def render(self) -> str:
         from .expr import render
@@ -106,7 +109,7 @@ class TruncatedElement:
 
 def _below(a: Element, L: Order) -> Element:
     """The terms of a normal-form element of order below L."""
-    if L == INF:
+    if L is INF:
         return a
     special = a.algebra.special
     num, den = L.numerator, L.denominator
@@ -118,9 +121,14 @@ def _below(a: Element, L: Order) -> Element:
     return a if len(kept) == len(a.terms) else Element(a.algebra, kept)
 
 
+def _room(L: Order):
+    """The least n with 2n >= L, so 2n < L iff n < room; INF for L = INF."""
+    return INF if L is INF else -(-L.numerator // (2 * L.denominator))
+
+
 def _cut(a: Element, L: Order) -> Element:
     """The terms x x* with 2|x| < L of a diagonal element."""
-    room = math.ceil(L / 2)  # 2n < L iff n < room
+    room = _room(L)
     return Element(a.algebra, {m: c for m, c in a.terms.items() if len(m.left.edges) < room})
 
 
@@ -150,14 +158,16 @@ def _common_algebra(a: TruncatedElement, b: TruncatedElement) -> LeavittAlgebra:
 
 
 def trunc_add(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
-    return TruncatedElement(_common_algebra(a, b), min(a.prec, b.prec),
+    return TruncatedElement(_common_algebra(a, b), least_level(a.prec, b.prec),
                             lambda L: a.below(L) + b.below(L), a.diagonal and b.diagonal)
 
 
 def _minus_slack(k: Order) -> Order:
-    if k == INF:
+    """max(k - 1, 0), the level a congruence at k compares down to."""
+    if k is INF:
         return INF
-    return max(k - 1, Fraction(0))
+    num, den = k.numerator, k.denominator
+    return Fraction(max(num - den, 0), den)
 
 
 def _split_level(special: Specialization, L: Order, terms) -> Order:
@@ -168,7 +178,7 @@ def _split_level(special: Specialization, L: Order, terms) -> Order:
     the first bound, so a diagonal operand passes no terms, and the other
     operand is read below 2L + 3.  The diagonal operand itself is read below
     ``_diagonal_split_level``, lower, as its products need no rewriting."""
-    if L == INF:
+    if L is INF:
         return INF
     num, den = L.numerator + L.denominator, L.denominator  # L + 1
     top = 2 * num + den
@@ -194,7 +204,7 @@ def _diagonal_split_level(L: Order, terms) -> Order:
     order >= L can only cancel one another, so a read of the diagonal
     operand below k leaves the product's terms below L as they are.
     """
-    if L == INF:
+    if L is INF:
         return INF
     num, den = L.numerator, L.denominator
     top = 0
@@ -277,13 +287,22 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     """
     alg = _common_algebra(a, b)
     special = alg.special
-    lo = min(a.prec, b.prec)
-    bounds = [INF if lo == INF else Fraction(lo - 1, 2)]
-    if a.prec != INF and not b.diagonal:
-        bounds += [product_precision(special, a.prec, m) for m in b.body.terms]
-    if b.prec != INF and not a.diagonal:
-        bounds += [product_precision(special, b.prec, m) for m in a.body.terms]
-    prec = _minus_slack(min(bounds))
+    lo = least_level(a.prec, b.prec)
+    prec = INF
+    if lo is not INF:
+        # the least bound num/den on integers: (lo - 1)/2, then tail_order
+        # over the terms of each operand that is not diagonal, k the other's
+        # precision; product_precision's (k - 1)/2 never wins, as k >= lo
+        num, den = lo.numerator - lo.denominator, 2 * lo.denominator
+        for k, y in ((a.prec, b), (b.prec, a)):
+            if k is INF or y.diagonal:
+                continue
+            ka, kb = k.numerator, k.denominator
+            for m in y.body.terms:
+                top, bottom = tail_order(special, ka, kb, m)
+                if top * den < num * bottom:
+                    num, den = top, bottom
+        prec = Fraction(max(num - den, 0), den)  # less one level of slack, at least 0
     diagonal = a.diagonal and b.diagonal
     swap = b.diagonal if a.diagonal != b.diagonal else b.is_exact and not a.is_exact
     x, y = (b, a) if swap else (a, b)
@@ -312,10 +331,11 @@ def equal_mod(a: TruncatedElement, b: TruncatedElement, K) -> bool:
     """
     _common_algebra(a, b)
     K = as_order(K)
-    if K > min(a.prec, b.prec):
+    lo = least_level(a.prec, b.prec)
+    if lo is not INF and K > lo:
         raise ValueError(
             f"congruence at level {format_order(K)} exceeds available precision "
-            f"{format_order(min(a.prec, b.prec))}"
+            f"{format_order(lo)}"
         )
     L = _minus_slack(K)
     return a.below(L) == b.below(L)
@@ -361,7 +381,7 @@ def _enumeration_cutoff(g: Graph, K: Fraction) -> int:
     # states of arrival_idempotent stop short of that, so the cutoff decides
     # exactness: e(W) is exact iff no path of this length avoids W (so every
     # arrival path is shorter) and every arrival path has order < K.
-    return math.ceil(Fraction(K) * (2 * len(g.vertices) + 1) / 2)
+    return -(-K.numerator * (2 * len(g.vertices) + 1) // (2 * K.denominator))
 
 
 def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
@@ -405,7 +425,7 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
     W = frozenset(W)
     if not g.is_hereditary(W):
         raise ValueError(f"{sorted(W)} is not hereditary")
-    if K == INF:
+    if K is INF:
         raise ValueError("arrival idempotents need a finite working precision")
     special = alg.special
     num, den = K.numerator, K.denominator
@@ -430,7 +450,7 @@ def arrival_idempotent(alg: LeavittAlgebra, W, K) -> TruncatedElement:
     def make(L):
         if not L:
             return Element(alg, {})
-        room = INF if L == INF else math.ceil(L / 2)  # 2n < L iff n < room
+        room = _room(L)
         one = alg.field.one
         point = {u: Monomial(Path(u, (), u), Path(u, (), u)) for u in dist}
         edge = {f.name: Monomial(Path(u, (f.name,), f.dst), Path(u, (f.name,), f.dst))
@@ -469,7 +489,7 @@ def _walk_vertices(alg: LeavittAlgebra, w: str, K: Order) -> frozenset:
     """The vertices of the special walk from w, which at K = inf must reach
     a sink."""
     orbit = alg.special.orbit_vertices(w)
-    if K == INF and not orbit & alg.graph.sinks():
+    if K is INF and not orbit & alg.graph.sinks():
         raise ValueError("a special walk that reaches no sink needs a finite working precision")
     return orbit
 
@@ -494,7 +514,7 @@ def conjugate(alg: LeavittAlgebra, x, w: str, K) -> TruncatedElement:
     g = alg.graph
     special = alg.special
     _walk_vertices(alg, w, K)
-    room = INF if K == INF else math.ceil(K / 2)  # 2n < K iff n < room
+    room = _room(K)
     terms = {}
     for k, walk in enumerate(special.walk(w)):
         if k + 1 >= room:

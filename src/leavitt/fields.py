@@ -1,7 +1,9 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Rational coefficients are plain ``fractions.Fraction`` values; prime-field
-coefficients are ``ModInt`` residues.  A field object knows how to build
+A rational coefficient is an ``int`` or a ``fractions.Fraction``: the field
+builds every integral value as an ``int``, integer arithmetic stays ``int``
+and skips ``Fraction``'s bookkeeping, and the two types print, compare and
+hash alike.  Prime-field coefficients are ``ModInt`` residues.  A field object knows how to build
 coefficients from integers and from integer ratios, and how to split a
 coefficient into a sign and a printable magnitude.
 """
@@ -61,25 +63,29 @@ class ModInt(namedtuple("ModInt", "value modulus")):
 
 
 class RationalField:
-    """The rational numbers; coefficients are ``Fraction`` values."""
+    """The rational numbers; a coefficient is an ``int`` or a ``Fraction``.
+
+    ``ratio`` and ``coerce`` return an ``int`` when the denominator is 1
+    (a ``bool`` too becomes an ``int``).  A sum of fractions may still be
+    an integral ``Fraction``; it equals, hashes and prints as its ``int``."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def ratio(self, num: int, den: int) -> Fraction:
+    def ratio(self, num: int, den: int) -> int | Fraction:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        return Fraction(num, den)
+        return self.coerce(Fraction(num, den))
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         raise TypeError(f"cannot use {x!r} as a rational coefficient")
 
-    def split_sign(self, c: Fraction):
+    def split_sign(self, c):
         """Return (negative?, magnitude) for rendering."""
         return c < 0, abs(c)
 

@@ -21,6 +21,12 @@ with n >= k(s + d + 1) gives the closed form
 
 clamped at zero, where (n0, s0, d0) are the parameters of m.  The test
 suite revalidates this closed form against a sampling oracle.
+
+Levels are ``Fraction`` values or the one object ``INF``, which callers test
+by identity: comparing a ``Fraction`` with a float runs through the
+``numbers`` ABCs, and the hot paths avoid it.  Inside, precision
+bookkeeping runs on integer numerator/denominator pairs and makes one
+``Fraction`` for its result.
 """
 
 from __future__ import annotations
@@ -38,17 +44,25 @@ Order = Union[Fraction, float]
 
 
 def as_order(k) -> Order:
-    """Coerce a precision level to an exact rational (or +inf)."""
-    if k == INF:
-        return INF
+    """Coerce a precision level to an exact rational, or to ``INF`` itself
+    for any infinite level."""
     if isinstance(k, Fraction):
         return k
     if isinstance(k, int):
         return Fraction(k)
+    if k == INF:
+        return INF
     raise TypeError(f"precision level must be exact, not {k!r}")
 
 
+def least_level(a: Order, b: Order) -> Order:
+    """The lower of two levels, comparing no ``Fraction`` with ``INF``."""
+    return a if b is INF or (a is not INF and a <= b) else b
+
+
 def format_order(k: Order) -> str:
+    if isinstance(k, Fraction):
+        return str(k)
     return "inf" if k == INF else str(Fraction(k))
 
 
@@ -81,11 +95,24 @@ def min_order(a: Element) -> Order:
     return min(order_of(special, m) for m in a.terms)
 
 
-def product_precision(special: Specialization, k, m: Monomial) -> Order:
-    """Guaranteed order of (tail of order >= k) * m and m * (same tail)."""
-    k = as_order(k)
-    if k == INF:
-        return INF
+def tail_order(special: Specialization, a: int, b: int, m: Monomial) -> tuple[int, int]:
+    """The bound (k + n - d) / (2 (s + d + 1)) of ``product_precision`` for
+    k = a/b, as the pair (a + (n - d) b, 2 (s + d + 1) b)."""
     n, s, d = params_of(special, m)
-    bound = min(Fraction(k - 1, 2), Fraction(k + n - d, 2 * (s + d + 1)))
-    return max(bound, Fraction(0))
+    return a + (n - d) * b, 2 * (s + d + 1) * b
+
+
+def product_precision(special: Specialization, k, m: Monomial) -> Order:
+    """Guaranteed order of (tail of order >= k) * m and m * (same tail).
+
+    For k = a/b the bounds are (a - b)/(2b) and ``tail_order``'s pair p/q;
+    the lesser is found by cross-multiplying, (a - b) q against 2 b p, and
+    clamped at zero before the one ``Fraction`` is made."""
+    k = as_order(k)
+    if k is INF:
+        return INF
+    a, b = k.numerator, k.denominator
+    num, den = tail_order(special, a, b, m)
+    if (a - b) * den < 2 * b * num:
+        num, den = a - b, 2 * b
+    return Fraction(max(num, 0), den)

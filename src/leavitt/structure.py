@@ -23,6 +23,7 @@ from functools import cache, partial, reduce
 from .algebra import LeavittAlgebra, Monomial
 from .completion import (
     TruncatedElement,
+    _minus_slack,
     arrival_idempotent,
     conjugate,
     equal_mod,
@@ -32,7 +33,7 @@ from .completion import (
     truncate,
     vertex_idempotent,
 )
-from .filtration import INF, Order, as_order, format_order, min_order
+from .filtration import INF, Order, as_order, format_order, least_level, min_order
 from .graph import format_vertex_set
 
 PASS = "pass"
@@ -86,14 +87,13 @@ class Verdict:
 
 def _require_finite(K) -> Fraction:
     K = as_order(K)
-    if K == INF:
+    if K is INF:
         raise ValueError("checks need a finite precision level")
     return K
 
 
 def _achieved_of(pairs) -> Order:
-    levels = [min(lhs.prec, rhs.prec) for lhs, rhs, _ in pairs]
-    return min(levels) if levels else INF
+    return reduce(least_level, (t.prec for lhs, rhs, _ in pairs for t in (lhs, rhs)), INF)
 
 
 def _escalated(requested: Fraction, pairs_at):
@@ -102,7 +102,8 @@ def _escalated(requested: Fraction, pairs_at):
     Kw = 2 * requested + 3
     for _ in range(24):
         pairs = pairs_at(Kw)
-        if _achieved_of(pairs) >= requested:
+        achieved = _achieved_of(pairs)
+        if achieved is INF or achieved >= requested:
             return pairs
         Kw *= 2
     raise RuntimeError("working-precision escalation failed to converge")
@@ -114,7 +115,7 @@ def _judge(name: str, K: Fraction, pairs, sampled=False, note=None) -> Verdict:
         if not equal_mod(lhs, rhs, K):
             # equal_mod saw a term below K - 1, so the least order of the
             # difference read below that level is the least order of all of it
-            level = max(K - 1, Fraction(0))
+            level = _minus_slack(K)
             residual = min_order(lhs.below(level) - rhs.below(level))
             return Verdict(
                 name,

@@ -25,8 +25,7 @@ from leavitt.completion import (
     vertex_idempotent,
 )
 from leavitt.expr import ParseError
-from leavitt.filtration import (INF, as_order, format_order, min_order, order_of, params_of,
-                                 product_precision)
+from leavitt.filtration import INF, as_order, format_order, min_order, order_of, params_of
 from leavitt.graph import Path, format_vertex_set
 from leavitt.structure import (FAIL, PASS, REFUSED, SAMPLE_LEN, SAMPLED_PASS, Verdict,
                                _basic_monomials_between, _certify, _escalated, _judge,
@@ -558,17 +557,49 @@ def vertex_recovery_by_iterates(alg: LeavittAlgebra, W, K) -> list[Verdict]:
     ]
 
 
+def product_precision_by_fractions(special: Specialization, k, m: Monomial):
+    """``product_precision`` in ``Fraction`` arithmetic: the lesser of
+    (k - 1)/2 and (k + n - d)/(2(s + d + 1)), clamped at zero."""
+    k = as_order(k)
+    if k == INF:
+        return INF
+    n, s, d = params_of(special, m)
+    bound = min(Fraction(k - 1, 2), Fraction(k + n - d, 2 * (s + d + 1)))
+    return max(bound, Fraction(0))
+
+
+def minus_slack_by_fractions(k):
+    """max(k - 1, 0) in ``Fraction`` arithmetic; inf stays inf."""
+    if k == INF:
+        return INF
+    return max(k - 1, Fraction(0))
+
+
+def trunc_mul_precision_by_bounds(a: TruncatedElement, b: TruncatedElement):
+    """``trunc_mul``'s precision as a list of ``Fraction`` bounds: (lo - 1)/2,
+    then ``product_precision_by_fractions`` over the terms of each operand
+    that is not diagonal, at the other's precision when finite, less one
+    level of slack."""
+    special = a.algebra.special
+    lo = min(a.prec, b.prec)
+    bounds = [INF if lo == INF else Fraction(lo - 1, 2)]
+    if a.prec != INF and not b.diagonal:
+        bounds += [product_precision_by_fractions(special, a.prec, m) for m in b.body.terms]
+    if b.prec != INF and not a.diagonal:
+        bounds += [product_precision_by_fractions(special, b.prec, m) for m in a.body.terms]
+    return minus_slack_by_fractions(min(bounds))
+
+
 def trunc_mul_eager(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     """The truncated product formed in full and then truncated, with the
     precision bounded over the terms of both operands."""
     special = a.algebra.special
     body = a.body * b.body
-    bounds = [product_precision(special, a.prec, m) for m in b.body.terms]
-    bounds += [product_precision(special, b.prec, m) for m in a.body.terms]
+    bounds = [product_precision_by_fractions(special, a.prec, m) for m in b.body.terms]
+    bounds += [product_precision_by_fractions(special, b.prec, m) for m in a.body.terms]
     lo = min(a.prec, b.prec)
     bounds.append(INF if lo == INF else Fraction(lo - 1, 2))
-    prec = min(bounds)
-    return truncate(body, prec if prec == INF else max(prec - 1, Fraction(0)))
+    return truncate(body, minus_slack_by_fractions(min(bounds)))
 
 
 def judge_by_full_bodies(name: str, K, pairs, sampled=False, note=None) -> Verdict:

@@ -27,6 +27,17 @@ GOLDEN_CASES = {
     "nf_toeplitz_gammaA.txt": [
         "nf", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json", "e e*",
     ],
+    # rational coefficients that cancel to integers (1/2 + 1/2, 3/2 * 2/3)
+    # and to fractions: an integral coefficient prints the same whether it
+    # is held as an int or as a Fraction
+    "nf_toeplitz_gammaA_rational.txt": [
+        "nf", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
+        "1/2 e e* + 1/2 e e* + 1/3 f f* + 1/6 f f* - 3/2 e f f* + 1/2 e f f* + 2/3 e - 2/3 e",
+    ],
+    "mul_toeplitz_gammaA_rational.txt": [
+        "mul", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
+        "1/2 e + 3/2 v - 1/3 f*", "2/3 e* + 2/3 v + 3/2 f",
+    ],
     "check_spec_toeplitz_gammaA.json": [
         "check-spec", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json", "--json",
     ],

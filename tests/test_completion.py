@@ -32,7 +32,7 @@ from leavitt import (
 from leavitt import algebra, completion
 from leavitt.algebra import Element
 from leavitt.completion import TruncatedElement, _below, _special_depth, conjugate
-from leavitt.filtration import order_key, order_of
+from leavitt.filtration import as_order, order_key, order_of
 from leavitt.structure import _judge
 
 from conftest import (
@@ -46,11 +46,15 @@ from conftest import (
     hereditary_sets_bruteforce,
     judge_by_full_bodies,
     load_graph,
+    minus_slack_by_fractions,
+    product_precision_by_fractions,
     random_element,
     random_graph,
+    random_monomial,
     random_path,
     random_specialization,
     trunc_mul_eager,
+    trunc_mul_precision_by_bounds,
     vertex_idempotent_by_branches,
 )
 
@@ -104,6 +108,78 @@ def test_trunc_mul_matches_formula(alg_b):
         bounds += [product_precision(special, pb, m) for m in a.body.terms]
         bounds.append(Fraction(min(pa, pb) - 1, 2))
         assert prod.prec == max(min(bounds) - 1, 0)
+
+
+def _level(rng):
+    """A precision level a/b with b in {1, 2, 3, 6}, often 0 or below 1,
+    sometimes inf."""
+    return rng.choice((0, INF, Fraction(rng.randint(1, 5), 6),
+                       Fraction(rng.randint(0, 36), rng.choice((1, 2, 3, 6)))))
+
+
+def _precision_operands(rng, alg):
+    """(kind, maker) pairs of fresh operands at random levels: exact, cut,
+    diagonal (e_v and e(W), deferred) and a deferred product that is not
+    diagonal."""
+    g = alg.graph
+    a, c = random_element(rng, alg, terms=5, max_len=3), random_element(rng, alg, terms=2)
+    v, W = rng.choice(g.vertices), rng.choice(g.frame() + [frozenset(g.vertices)])
+    k = _level(rng)
+    finite = 0 if k is INF else k
+    return [("exact", lambda: exact(a)),
+            ("cut", lambda: truncate(a, k)),
+            ("diagonal", lambda: vertex_idempotent(alg, v, finite)),
+            ("diagonal", lambda: arrival_idempotent(alg, W, finite)),
+            ("deferred", lambda: trunc_mul(exact(c), truncate(a, k)))]
+
+
+def test_precision_matches_the_fraction_bounds():
+    # product_precision, _minus_slack and trunc_mul's precision, computed
+    # on integer numerator/denominator pairs, equal their Fraction forms
+    # in tests/conftest.py and stay Fraction or INF, over levels a/b with
+    # b in {1, 2, 3, 6}, 0, levels below 1 and inf; trunc_mul in both
+    # operand orders, on seeded random graphs under construct_regular and
+    # a random specialization, over QQ and (every third graph) F_7
+    rng = random.Random(31)
+    seen = Counter()
+    for i in range(30):
+        g = random_graph(rng, 5, 9)
+        for special in (construct_regular(g), random_specialization(rng, g)):
+            alg = LeavittAlgebra(special, PrimeField(7) if i % 3 == 0 else QQ)
+            for _ in range(20):
+                k, m = _level(rng), random_monomial(rng, alg, 4)
+                got = product_precision(special, k, m)
+                assert got == product_precision_by_fractions(special, k, m), (special, k, m)
+                assert got is INF if k is INF else type(got) is Fraction
+                got = completion._minus_slack(as_order(k))
+                assert got == minus_slack_by_fractions(as_order(k)), k
+                assert got is INF if k is INF else type(got) is Fraction
+            operands = _precision_operands(rng, alg) + _precision_operands(rng, alg)
+            for _ in range(10):
+                (p, x), (q, y) = rng.choice(operands), rng.choice(operands)
+                for f, h in ((x, y), (y, x)):
+                    got, want = trunc_mul(f(), h()).prec, trunc_mul_precision_by_bounds(f(), h())
+                    assert got == want, (special, f().prec, h().prec)
+                    assert got is INF or type(got) is Fraction
+                    assert got == trunc_mul_eager(f(), h()).prec
+                level = x().prec
+                seen[p, q] += 1
+                seen["level", level if level is INF else level.denominator] += 1
+    kinds = ("exact", "cut", "diagonal", "deferred")
+    assert all(seen[p, q] > 10 for p in kinds for q in kinds), seen
+    assert all(seen["level", b] > 10 for b in (1, 2, 3, 6, INF)), seen
+
+
+def test_ceilings_match_the_fraction_forms():
+    # the integer ceilings of _room and _enumeration_cutoff equal
+    # math.ceil on Fraction values, the forms they replace
+    graphs = [family_graph("chain_to_rose", n) for n in range(1, 5)]
+    for K in [Fraction(a, b) for a in range(0, 40) for b in (1, 2, 3, 6)]:
+        assert completion._room(K) == math.ceil(K / 2), K
+        for g in graphs:
+            assert completion._enumeration_cutoff(g, K) == math.ceil(
+                K * (2 * len(g.vertices) + 1) / 2), (K, g.vertices)
+    assert completion._room(INF) is INF
 
 
 def _operand(rng, alg):

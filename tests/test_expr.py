@@ -4,11 +4,12 @@ import re
 import sys
 import time
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from leavitt import (Graph, LeavittAlgebra, ParseError, PrimeField, construct_regular, parse,
-                     render)
+from leavitt import (QQ, Graph, LeavittAlgebra, ParseError, PrimeField, construct_regular,
+                     parse, render)
 from leavitt import algebra, expr
 from leavitt.graph import Path
 
@@ -74,6 +75,39 @@ def test_round_trip_random(alg_a, alg_b):
         alg = alg_a if rng.random() < 0.5 else alg_b
         a = random_element(rng, alg, terms=4, max_len=4)
         assert parse(alg, render(a)) == a
+
+
+def test_rational_coefficients_are_int_when_integral():
+    # QQ makes an int of a coefficient whose denominator is 1, a bool too
+    assert QQ.coerce(True) == 1 and type(QQ.coerce(True)) is int
+    assert type(QQ.coerce(Fraction(6, 3))) is int and QQ.ratio(4, 2) == 2
+    assert type(QQ.ratio(4, 2)) is int and type(QQ.ratio(-3, 1)) is int
+    assert type(QQ.ratio(1, 2)) is Fraction and QQ.ratio(2, 4) == Fraction(1, 2)
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.one) is int
+
+
+def test_round_trip_mixed_int_and_fraction_coefficients(alg_a, alg_b):
+    # int and Fraction coefficients print, compare and hash alike: a sum
+    # of fractions that is integral, such as 1/2 e e* + 1/2 e e*, keeps a
+    # Fraction coefficient, renders as an integer and parses back as an
+    # int, and a parse makes an int of every integral coefficient
+    half = parse(alg_a, "1/2 e e*")
+    whole = half + half
+    assert {type(c) for c in whole.terms.values()} == {Fraction}
+    assert render(whole) == "v - f f*" and parse(alg_a, render(whole)) == whole
+    assert sorted(map(hash, whole.terms.values())) == [hash(-1), hash(1)]
+    rng = random.Random(16)
+    for _ in range(300):
+        alg = alg_a if rng.random() < 0.5 else alg_b
+        pairs = [(m, c if rng.random() < 0.5 else Fraction(c * rng.choice((1, 2, 3)),
+                                                           rng.choice((1, 2, 3))))
+                 for m, c in random_element(rng, alg, terms=4, max_len=4).terms.items()]
+        a = alg.element(pairs)
+        a = a + a.scale(QQ.ratio(1, 2)) if rng.random() < 0.5 else a
+        back = parse(alg, render(a))
+        assert back == a, render(a)
+        for m, c in back.terms.items():
+            assert hash(c) == hash(a.terms[m]) and (type(c) is int) == (c.denominator == 1)
 
 
 def test_round_trip_prime_field():
