@@ -19,22 +19,19 @@ An element is diagonal when every term of its body is a projection x x*,
 x a vertex or a path that ends in a non-special edge: such a term has
 weight 1 and order 2|x|.  The idempotents e(W) and e_v, the recovery
 operator's values, vertices, zero and one are diagonal, and so are sums
-and products of diagonal elements, which span the commutative diagonal
-subalgebra: (x x*)(y y*) is the projection of the longer path when one
-path is a prefix of the other, and 0 otherwise, with no rewriting.  The
-makers of diagonal elements say so, and ``trunc_mul`` uses it to fix its
-precision without reading a diagonal operand, to split without scanning
-one, to read one only as deep as the other operand's terms need, and to
-multiply by prefix lookup; a diagonal read is cut by length.
+and products of diagonal elements.  The makers say so, and ``trunc_mul``
+uses it to fix its precision without reading a diagonal operand and to
+multiply by prefix lookup, which by the lemma of ``_diagonal_times`` never
+lowers an order, so that each operand is read only as deep as the
+product's low part needs; a diagonal read is cut by length.
 
 Precision propagates through products via ``product_precision`` plus one
 unit of slack: rewriting a dropped-tail product onto the storage basis can
 cost one level, so a congruence check at level K compares bodies down to
 order K - 1 and reads each side below max(K - 1, 0).  The same slack tells
-a product how far to read its operands: a tail of order >= k times a term
-m normalises to order >= product_precision(k, m) - 1.  Comparisons never
-claim more precision than both operands carry; asking for more raises an
-error instead of silently degrading.
+a product of operands that are not diagonal how far to read them.
+Comparisons never claim more precision than both operands carry; asking
+for more raises an error instead of silently degrading.
 
 Truncated values never mix specializations or fields: the order statistic
 depends on both, so the algebra is part of the value's identity.
@@ -173,11 +170,9 @@ def _minus_slack(k: Order) -> Order:
 def _split_level(special: Specialization, L: Order, terms) -> Order:
     """The least k at which a tail of order >= k times any of the monomials
     ``terms`` normalises to order >= L, that is product_precision(k, m) - 1
-    >= L: k >= 2(L + 1) + 1 and k >= 2(s + d + 1)(L + 1) - n + d.  A term of
-    weight s + d + 1 = 1, as every term of a diagonal element is, needs only
-    the first bound, so a diagonal operand passes no terms, and the other
-    operand is read below 2L + 3.  The diagonal operand itself is read below
-    ``_diagonal_split_level``, lower, as its products need no rewriting."""
+    >= L: k >= 2(L + 1) + 1 and k >= 2(s + d + 1)(L + 1) - n + d.  By the
+    lemma of ``_diagonal_times``, a product with a diagonal operand needs
+    no slack, and reads by ``_diagonal_split_level`` instead."""
     if L is INF:
         return INF
     num, den = L.numerator + L.denominator, L.denominator  # L + 1
@@ -189,28 +184,25 @@ def _split_level(special: Specialization, L: Order, terms) -> Order:
 
 
 def _diagonal_split_level(L: Order, terms) -> Order:
-    """The least k at which the projections p p* of a diagonal operand with
+    """A level k at which the projections p p* of a diagonal operand with
     2|p| >= k, times any of the basic monomials ``terms`` on either side,
     give only terms of order >= L: the largest, over the terms a b*, of
-    max(2 max(|a|, |b|) + 1, L(D + 1) + D), D = ||a| - |b||.
-
-    Such a p is longer than a and b, as 2|p| > 2 max(|a|, |b|).  By the
-    prefix identities of ``_diagonal_times``, (p p*)(a b*) is then 0 or
-    (p, b p') with p = a p'.  Both paths end in p's last edge, which is not
-    special, so the term is basic, with no rewriting and so no slack, and it
-    has s = 0, degree ||p| - |b p'|| = D and order (2|p| - |a| + |b|)/(D + 1)
-    >= (2|p| - D)/(D + 1) >= L.  (a b*)(p p*) is (a p', p) with p = b p',
-    of order (2|p| - |b| + |a|)/(D + 1), and the same bound holds.  Terms of
-    order >= L can only cancel one another, so a read of the diagonal
-    operand below k leaves the product's terms below L as they are.
+    L(D + 1) + D, D = ||a| - |b||, when that exceeds 2 max(|a|, |b|), and
+    of 2 max(|a|, |b|) + 1 otherwise.  Such a p is longer than a and b, so
+    by the lemma of ``_diagonal_times`` each product is 0 or basic of order
+    >= (2|p| - D)/(D + 1) >= L, and terms of order >= L cancel only one
+    another.  As 2|p| is even, the levels in (2 max, 2 max + 2] read the
+    same projections; the first choice lets two diagonal operands read each
+    other below L.
     """
     if L is INF:
         return INF
     num, den = L.numerator, L.denominator
     top = 0
     for a, b in {(len(m.left.edges), len(m.right.edges)) for m in terms}:
-        D = abs(a - b)
-        top = max(top, (2 * max(a, b) + 1) * den, num * (D + 1) + D * den)
+        D, longer = abs(a - b), 2 * max(a, b) * den
+        level = num * (D + 1) + D * den
+        top = max(top, level if level > longer else longer + den)
     return Fraction(top, den)
 
 
@@ -234,6 +226,11 @@ def _diagonal_times(d: Element, z: Element, d_left: bool) -> Element:
     every result term is basic: no monomial product and no normal form.
     Each term of z is looked up once per prefix of its meeting path, and
     each x once per length of a meeting path shorter than x.
+
+    Lemma: a projection never lowers the order of a basic monomial.  With
+    D = ||a| - |b||, (x, b x') has s = 0, degree D and order
+    (2|x| - |a| + |b|)/(D + 1) >= (|a| + |b|)/(D + 1) >= ord(a b*), as
+    |x| > |a|, and (a x', x) has order (2|x| - |b| + |a|)/(D + 1), likewise.
     """
     alg = d.algebra
     through = {}  # (start, edges) of a prefix of a meeting path -> those z terms
@@ -270,20 +267,16 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     so product_precision(k, m) = max((k - 1)/2, 0), never below the bound
     (min(prec) - 1)/2, as k is the other operand's precision.
 
-    Read below L, the product names one operand x: the diagonal operand
-    when just one is diagonal, b when only b is exact (the precision read
-    b's terms) and a otherwise.  It reads the other operand, y, below the
-    ``_split_level`` k_y of x's terms, 2L + 3 for a diagonal x, which is not
-    read for it, and then x below the level k_x of the terms of y it read:
-    ``_split_level`` again, or ``_diagonal_split_level`` for a diagonal x,
-    whose terms p p* beyond it meet y's terms in basic terms of order >= L
-    (the proof is in its docstring).  As x y = x y_hi + x_lo y_lo +
-    x_hi y_lo, and the first and last parts normalise to order >= L, the
-    terms below L are those of x_lo y_lo.  A diagonal x multiplies by
-    prefix lookup, ``_diagonal_times``.  When both operands
-    are diagonal, so is the product: each of its terms is the longer of two
-    projections, so the terms below L are the product of the operands'
-    terms below L.
+    Read below L, the product names one operand x: a diagonal operand if
+    there is one, b when only b is exact (the precision read b's terms) and
+    a otherwise.  It reads the other operand, y, below a level k_y and then
+    x below the level k_x of the terms of y it read, so that x y_hi and
+    x_hi y_lo normalise to order >= L and the terms below L are those of
+    x_lo y_lo.  A diagonal x, by the lemma of ``_diagonal_times``, has
+    k_y = L and k_x from ``_diagonal_split_level``, and multiplies by
+    prefix lookup, with no cut when y is diagonal too: the terms are then
+    the longer of two projections.  Any other x has both from
+    ``_split_level``.
     """
     alg = _common_algebra(a, b)
     special = alg.special
@@ -308,12 +301,11 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     x, y = (b, a) if swap else (a, b)
 
     def make(L):
-        if diagonal:
-            return _diagonal_times(a.below(L), b.below(L), True)
         if x.diagonal:
-            y_lo = y.below(_split_level(special, L, ()))
+            y_lo = y.below(L)
             x_lo = x.below(_diagonal_split_level(L, y_lo.terms))
-            return _below(_diagonal_times(x_lo, y_lo, not swap), L)
+            product = _diagonal_times(x_lo, y_lo, not swap)
+            return product if diagonal else _below(product, L)
         y_lo = y.below(_split_level(special, L, x.body.terms))
         x_lo = x.below(_split_level(special, L, y_lo.terms))
         return _below(y_lo * x_lo if swap else x_lo * y_lo, L)

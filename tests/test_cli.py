@@ -103,6 +103,17 @@ GOLDEN_CASES = {
         "--gamma", "tests/inputs/escalating6_gamma.json", "--prec", "5", "--suite", "lemma10",
         "--json",
     ],
+    "verify_escalating6_lemma10_prec9.json": [
+        "verify", "--graph", "tests/inputs/escalating6.json",
+        "--gamma", "tests/inputs/escalating6_gamma.json", "--prec", "9", "--suite", "lemma10",
+        "--json",
+    ],
+    # a fractional level, and component separation, whose products take an
+    # inexact e_w as their diagonal operand
+    "verify_toeplitz_gammaA_lemma21_prec7-2.json": [
+        "verify", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
+        "--prec", "7/2", "--suite", "lemma21", "--json",
+    ],
 }
 
 

@@ -836,8 +836,8 @@ def test_diagonal_products_match_the_normal_form_product():
 
 def test_diagonal_split_level_matches_the_eager_product():
     # a product of a diagonal x and an inexact y that is not diagonal reads
-    # y below 2L + 3 and x only below the diagonal split level of the terms
-    # of y read; in both orders it equals trunc_mul_eager in precision and
+    # y below L and x only below the diagonal split level of the terms of
+    # y read; in both orders it equals trunc_mul_eager in precision and
     # body, and a fresh read below L equals the eager body cut below L; on
     # seeded random graphs under construct_regular and a random
     # specialization, over QQ and (every third graph) F_7, with y long or
@@ -868,6 +868,68 @@ def test_diagonal_split_level_matches_the_eager_product():
     assert len(seen) == 4 and min(seen.values()) > 100, seen
 
 
+def _recording(t: TruncatedElement, runs: list) -> TruncatedElement:
+    """t with a maker that records each level it runs at; a held body,
+    which has no maker, is read through a fresh element."""
+    if t._make is None:
+        t = TruncatedElement(t.algebra, t.prec, t.below, t.diagonal)
+    maker = t._make
+    t._make = lambda L: runs.append(L) or maker(L)
+    return t
+
+
+def test_diagonal_product_reads_the_other_operand_below_the_level():
+    # a fresh product of a diagonal x (e(W), e_v or one) and any y, read
+    # below L in either order, runs y's maker no higher than L (unless its
+    # precision read y's whole body, when y is not diagonal and x inexact): a
+    # projection never lowers the order of a basic monomial, so y's terms
+    # of order >= L give x y none below L, where reading y below 2L + 3
+    # took them in; each read equals the eager product cut below L; y is an
+    # exact edge, ghost or monomial, a truncation, a product with a
+    # truncated operand or another diagonal operand, on seeded random
+    # graphs under construct_regular and a random specialization, over QQ
+    # and (every third graph) F_7
+    rng = random.Random(31)
+    seen = Counter()
+    for i in range(20):
+        g = random_graph(rng, 5, 9)
+        for special in (construct_regular(g), random_specialization(rng, g)):
+            alg = LeavittAlgebra(special, PrimeField(7) if i % 3 == 0 else QQ)
+            K = rng.choice((2, Fraction(7, 2), 6))
+            diagonal = [lambda W=W: arrival_idempotent(alg, W, K)
+                        for W in g.frame() + [frozenset(g.vertices)]]
+            diagonal += [lambda v=v: vertex_idempotent(alg, v, K) for v in g.vertices]
+            diagonal.append(lambda: exact(alg.one()))
+            a = random_element(rng, alg, terms=5, max_len=4)
+            m = alg.element({random_monomial(rng, alg): 1})
+            level = Fraction(rng.randint(2, 24), rng.randint(1, 2))
+            others = {"monomial": lambda: exact(m),
+                      "truncate": lambda: truncate(a, level),
+                      "trunc_mul": lambda: trunc_mul(exact(m), truncate(a, level)),
+                      "diagonal": rng.choice(diagonal)}
+            if g.edges:
+                e = rng.choice(g.edges).name
+                others["edge"] = lambda: exact(alg.edge(e))
+                others["ghost"] = lambda: exact(alg.ghost(e))
+            for _ in range(3):
+                d = rng.choice(diagonal)
+                for kind, h in others.items():
+                    for order in (1, -1):
+                        want = trunc_mul_eager(*[d(), h()][::order])
+                        for L in (0, Fraction(1, 2), 1, 2, Fraction(7, 2), 5, 8, want.prec):
+                            if L is INF or L > want.prec:
+                                continue
+                            runs = []
+                            y = _recording(h(), runs)
+                            product = trunc_mul(*[d(), y][::order])
+                            runs.clear()  # the precision may read y's body
+                            got = product.below(L)
+                            assert got == _below(want.body, L), (special, kind, order, L)
+                            assert all(r <= L for r in runs), (special, kind, order, L, runs)
+                            seen[kind] += bool(runs) and (y.prec is INF or L < y.prec)
+    assert len(seen) == 6 and min(seen.values()) > 100, seen
+
+
 def test_diagonal_split_level_is_tight():
     # e_v for a special loop s at v and a non-special f: v -> w, with w
     # also reached by the special edge e from u, is v - f f* - s f f* s* - ...
@@ -875,7 +937,9 @@ def test_diagonal_split_level_is_tight():
     # at work: below 2, f e* cancels between v and f f*, and a read of e_v
     # below 2 max(|f|, |e|) = 2 would drop f f* and keep f e*; below 5,
     # s f f* s* (order 4) is kept, and a read below L(D + 1) + D - 1 = 4
-    # would drop it
+    # would drop it; at the fractional level 5/2 a length-1 projection
+    # needs only projections of length <= 1, so it gives 5/2 itself, the
+    # level a product of two diagonal operands reads below
     g = Graph(["v", "u", "w"], [("f", "v", "w"), ("s", "v", "v"), ("e", "u", "w"),
                                 ("t", "u", "u")])
     alg = LeavittAlgebra(Specialization(g, {"v": "s", "u": "e"}))
@@ -889,6 +953,8 @@ def test_diagonal_split_level_is_tight():
         for L in (1, 2, 3, 4, 5, want.prec):
             operands = [vertex_idempotent(alg, "v", 24), truncate(y, 20)][::-1 if swap else 1]
             assert trunc_mul(*operands).below(L) == _below(want.body, L), (swap, L)
+    half = Fraction(5, 2)
+    assert completion._diagonal_split_level(half, parse(alg, "f f*").terms) == half
 
 
 def test_diagonal_cut_by_length_matches_the_order_cut():

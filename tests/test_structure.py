@@ -299,6 +299,45 @@ def test_vertex_laws_read_the_vertex_coefficient_below_one(monkeypatch):
         assert (len(returned), sum(returned)) == (calls, terms), family
 
 
+def test_suites_build_idempotents_only_below_the_levels_read(alg_a, monkeypatch):
+    # over run_suite(alg, "all", K), the e(W) makers return 36, 6 and 24
+    # terms on chain_to_rose(3) at K=2, rose(4) at K=12 and complete(4) at
+    # K=6; on toeplitz/gammaA at K=5 the recovery operator returns 70 terms
+    # for e_v, where reading the other operand of a product with e_v below
+    # 2L + 3 read e_v deeper and returned 120
+    returned = []
+    arrival, recovery = structure.arrival_idempotent, completion.conjugate
+
+    def arrival_counting(*args):
+        t = arrival(*args)
+        maker = t._make
+
+        def make(L):
+            body = maker(L)
+            returned.append(len(body.terms))
+            return body
+
+        t._make = make
+        return t
+
+    def recovery_counting(*args):
+        t = recovery(*args)
+        returned.append(len(t.body.terms))
+        return t
+
+    monkeypatch.setattr(structure, "arrival_idempotent", arrival_counting)
+    for family, n, K, terms in (("chain_to_rose", 3, 2, 36), ("rose", 4, 12, 6),
+                                ("complete", 4, 6, 24)):
+        returned.clear()
+        run_suite(LeavittAlgebra(construct_regular(family_graph(family, n))), "all", K)
+        assert sum(returned) == terms, family
+    monkeypatch.undo()
+    monkeypatch.setattr(completion, "conjugate", recovery_counting)
+    returned.clear()
+    run_suite(alg_a, "all", 5)
+    assert sum(returned) == 70
+
+
 def test_separation_samples_are_made_once_per_check(alg_a, monkeypatch):
     # on toeplitz/gammaA at K=4 component separation escalates through five
     # rounds; its samples are listed once per ordered pair of vertices in
