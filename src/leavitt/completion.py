@@ -23,7 +23,8 @@ and products of diagonal elements.  The makers say so, and ``trunc_mul``
 uses it to fix its precision without reading a diagonal operand and to
 multiply by prefix lookup, which by the lemma of ``_diagonal_times`` never
 lowers an order, so that each operand is read only as deep as the
-product's low part needs; a diagonal read is cut by length.
+product's low part needs; a diagonal read is cut by length.  ``unwrap``
+reads e* D e off D's coefficients by the same prefix identities.
 
 Precision propagates through products via ``product_precision`` plus one
 unit of slack: rewriting a dropped-tail product onto the storage basis can
@@ -255,6 +256,39 @@ def _diagonal_times(d: Element, z: Element, d_left: bool) -> Element:
     return Element(alg, add_terms({}, pairs))
 
 
+def unwrap(d: TruncatedElement, e: str) -> TruncatedElement:
+    """e* d e for a diagonal d and an edge e from u to v, by prefix shift.
+
+    e* x is x' when x = e x', e* when x = u, and 0 otherwise, so e* (x x*) e
+    is v for x = u or x = e (e then not special), y y* for x = e y, and 0
+    for every other projection of d.  Read below L, the value takes c_u and
+    c_e onto v and c_{e y} onto y y* for 2|y| < L, reading d below L + 2:
+    no product and no normal form.
+
+    The precision is that of trunc_mul(trunc_mul(exact(e*), d), exact(e)),
+    fixed from the exact operands alone, and that chain read below L <=
+    prec is e* d.body e cut below L: P = e* d drops only terms of e* d.body
+    of order t >= p, its precision, c e* or c_{e y} y (e y)*, which come
+    back times e as c v or c_{e y} y y*, of order >= 2t - 1 >= 2p - 1 >
+    prec when prec > 0, as prec <= max((p - 3)/2, 0).
+    """
+    alg = d.algebra
+    edge = alg.graph.edge(e)
+    u, v = edge.src, edge.dst
+
+    def make(L):
+        room, pairs = _room(L), []
+        for m, c in d.below(L if L is INF else L + 2).terms.items():
+            x, rest = m.left, m.left.edges[1:]
+            if x.start == u and x.edges[:1] in ((), (e,)) and len(rest) < room:
+                y = Path(v, rest, x.end if rest else v)
+                pairs.append((Monomial(y, y), c))
+        return Element(alg, add_terms({}, pairs))
+
+    prec = trunc_mul(trunc_mul(exact(alg.ghost(e)), d), exact(alg.edge(e))).prec
+    return TruncatedElement(alg, prec, make, diagonal=True)
+
+
 def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     """Product with the guaranteed-order bookkeeping.
 
@@ -303,6 +337,8 @@ def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     def make(L):
         if x.diagonal:
             y_lo = y.below(L)
+            if not y_lo.terms:
+                return y_lo
             x_lo = x.below(_diagonal_split_level(L, y_lo.terms))
             product = _diagonal_times(x_lo, y_lo, not swap)
             return product if diagonal else _below(product, L)

@@ -602,6 +602,12 @@ def trunc_mul_eager(a: TruncatedElement, b: TruncatedElement) -> TruncatedElemen
     return truncate(body, minus_slack_by_fractions(min(bounds)))
 
 
+def unwrap_by_products(d: TruncatedElement, e: str) -> TruncatedElement:
+    """e* d e as two truncated products, (e* d) e."""
+    alg = d.algebra
+    return trunc_mul(trunc_mul(exact(alg.ghost(e)), d), exact(alg.edge(e)))
+
+
 def judge_by_full_bodies(name: str, K, pairs, sampled=False, note=None) -> Verdict:
     """The verdict on whole bodies: each pair's difference is formed in
     full, and the pair fails when its least order is below K - 1."""
@@ -802,7 +808,7 @@ def ideal_transfer_by_closures(alg: LeavittAlgebra, K) -> list[Verdict]:
         pairs = []
         for v, name in special.mapping.items():
             w = g.edge(name).dst
-            conj = trunc_mul(trunc_mul(exact(alg.ghost(name)), ev[v]), exact(alg.edge(name)))
+            conj = unwrap_by_products(ev[v], name)
             pairs.append((ev[w], conj, f"e_{w} = {name}* e_{v} {name}"))
         return pairs
 

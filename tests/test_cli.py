@@ -114,6 +114,18 @@ GOLDEN_CASES = {
         "verify", "--graph", "data/toeplitz.json", "--gamma", "data/gammaA.json",
         "--prec", "7/2", "--suite", "lemma21", "--json",
     ],
+    # a (family, n) argument is the graph of bench/graphs.py, written to a
+    # file: the arrival-chain case, where special transfer escalates Kw
+    # 7 -> 224 over four special edges, and lemma 21 alone on complete(4),
+    # where special transfer achieves 137/6
+    "verify_chain_to_rose3_prec2.json": [
+        "verify", "--graph", ("chain_to_rose", 3), "--auto-regular", "--prec", "2",
+        "--suite", "all", "--json",
+    ],
+    "verify_complete4_lemma21_prec12.json": [
+        "verify", "--graph", ("complete", 4), "--auto-regular", "--prec", "12",
+        "--suite", "lemma21", "--json",
+    ],
 }
 
 
@@ -124,12 +136,26 @@ def invoke(argv):
     return code, buf.getvalue()
 
 
+def with_family_graphs(argv, directory):
+    """argv with each (family, n) written as that benchmark graph's file
+    in ``directory``."""
+    out = []
+    for arg in argv:
+        if isinstance(arg, tuple):
+            path = directory / f"{arg[0]}{arg[1]}.json"
+            path.write_text(json.dumps(family_graph(*arg).to_json()))
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
 @pytest.mark.parametrize("fname", sorted(GOLDEN_CASES))
-def test_golden_outputs(fname, monkeypatch):
+def test_golden_outputs(fname, monkeypatch, tmp_path):
     monkeypatch.chdir(HERE.parent)
     committed = (GOLDEN / fname).read_bytes()
-    _, first = invoke(GOLDEN_CASES[fname])
-    _, second = invoke(GOLDEN_CASES[fname])
+    argv = with_family_graphs(GOLDEN_CASES[fname], tmp_path)
+    _, first = invoke(argv)
+    _, second = invoke(argv)
     assert first.encode() == committed
     assert second.encode() == committed
 
@@ -139,10 +165,8 @@ def test_escalated_family_goldens(family, n, K, tmp_path):
     # the two vertex-series benchmark cases: their checks escalate the
     # working precision, and the goldens pin each achieved level (special
     # transfer reaches 137/6 on rose(4) and 73/6 on complete(4))
-    path = tmp_path / f"{family}{n}.json"
-    path.write_text(json.dumps(family_graph(family, n).to_json()))
-    _, out = invoke(["verify", "--graph", str(path), "--auto-regular", "--prec", str(K),
-                     "--suite", "all", "--json"])
+    _, out = invoke(with_family_graphs(["verify", "--graph", (family, n), "--auto-regular",
+                                        "--prec", str(K), "--suite", "all", "--json"], tmp_path))
     assert out.encode() == (GOLDEN / f"verify_{family}{n}_prec{K}.json").read_bytes()
 
 
@@ -150,9 +174,9 @@ def test_escalated_family_goldens(family, n, K, tmp_path):
     "fname",
     [f for f in sorted(GOLDEN_CASES) if f.endswith(".json") and f != "specialize_twocycle.txt"],
 )
-def test_json_outputs_validate_against_schema(fname, monkeypatch):
+def test_json_outputs_validate_against_schema(fname, monkeypatch, tmp_path):
     monkeypatch.chdir(HERE.parent)
-    _, out = invoke(GOLDEN_CASES[fname])
+    _, out = invoke(with_family_graphs(GOLDEN_CASES[fname], tmp_path))
     jsonschema.validate(json.loads(out), SCHEMA)
 
 

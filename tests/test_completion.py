@@ -55,6 +55,7 @@ from conftest import (
     random_specialization,
     trunc_mul_eager,
     trunc_mul_precision_by_bounds,
+    unwrap_by_products,
     vertex_idempotent_by_branches,
 )
 
@@ -928,6 +929,69 @@ def test_diagonal_product_reads_the_other_operand_below_the_level():
                             assert all(r <= L for r in runs), (special, kind, order, L, runs)
                             seen[kind] += bool(runs) and (y.prec is INF or L < y.prec)
     assert len(seen) == 6 and min(seen.values()) > 100, seen
+
+
+def _unwrap_operands(rng, alg):
+    """(kind, maker) pairs of fresh diagonal operands: e_v at low and high
+    working precisions, e(W) over the frame and V, an exact vertex, zero
+    and one, and an e_v that also carries a projection p p*, p a path that
+    ends in a non-special edge."""
+    g = alg.graph
+    special = alg.special
+    operands = [("e_v", lambda v=v, K=K: vertex_idempotent(alg, v, K))
+                for v in g.vertices for K in (Fraction(7, 2), 150)]
+    operands += [("e(W)", lambda W=W, K=K: arrival_idempotent(alg, W, K))
+                 for W in g.frame() + [frozenset(g.vertices)] for K in (6, 14)]
+    operands += [("exact", lambda v=rng.choice(g.vertices): exact(alg.vertex(v))),
+                 ("exact", lambda: exact(alg.zero())), ("exact", lambda: exact(alg.one()))]
+    paths = [random_path(rng, g, rng.choice(g.vertices), 3) for _ in range(20)]
+    paths = [p for p in paths if p.edges and not special.is_special(p.edges[-1])]
+    if paths:
+        p, v = rng.choice(paths), rng.choice(g.vertices)
+        extra = alg.element({Monomial(p, p): 1})
+
+        def corrupted():
+            t = vertex_idempotent(alg, v, 150)
+            return TruncatedElement(alg, t.prec, lambda L: t.below(L) + extra
+                                    if L > 2 * len(p) else t.below(L), diagonal=True)
+
+        operands.append(("corrupted", corrupted))
+    return operands
+
+
+def test_unwrap_matches_the_product_chain():
+    # e* D e read by prefix shift from D below L + 2 has the precision of
+    # the chain (e* D) e of two truncated products, and the same read below
+    # every level L <= prec, along a rising (each read runs the maker),
+    # falling (each read cuts the first) or shuffled sequence on one
+    # element; for every edge, special or not, and D an
+    # e_v, an e(W), an exact vertex, zero or one, or an e_v corrupted by an
+    # extra projection, on seeded random graphs under construct_regular and
+    # a random specialization, over QQ and (every third graph) F_7
+    rng = random.Random(33)
+    seen = Counter()
+    for i in range(40):
+        g = random_graph(rng, 5, 9)
+        for special in (construct_regular(g), random_specialization(rng, g)):
+            alg = LeavittAlgebra(special, PrimeField(7) if i % 3 == 0 else QQ)
+            for kind, d in _unwrap_operands(rng, alg):
+                for e in g.edges:
+                    chain = unwrap_by_products(d(), e.name)
+                    prec = completion.unwrap(d(), e.name).prec
+                    assert prec == chain.prec, (special, kind, e)
+                    levels = [L for L in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3,
+                                          Fraction(7, 2), 5, 7, prec) if L <= prec]
+                    want = {L: _below(chain.body, L) for L in levels}
+                    for seq in (levels, levels[::-1], rng.sample(levels, len(levels))):
+                        x = completion.unwrap(d(), e.name)
+                        for L in seq:
+                            assert x.below(L) == want[L], (special, kind, e, seq, L)
+                        assert x.body == chain.body, (special, kind, e)
+                    seen[kind, special.is_special(e.name), bool(chain.body.terms)] += 1
+                    seen["deep"] += len(levels) > 6 and bool(chain.body.terms)
+    # e_v e = 0 for a non-special edge e, and e* e_v = 0 unless e leaves v
+    assert not seen["e_v", False, True] and len(seen) == 16, seen
+    assert min(seen.values()) > 40, seen
 
 
 def test_diagonal_split_level_is_tight():
